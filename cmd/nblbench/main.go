@@ -129,16 +129,14 @@ type EngineRun struct {
 	WallNS        int64   `json:"wall_ns"`
 	Samples       int64   `json:"samples"`
 	SamplesPerSec float64 `json:"samples_per_sec"`
-	// StreamVersion echoes the noise stream contract the engine drew
-	// from (sampling engines only; omitted for search engines), and
-	// FillAccel/EvalAccel the kernel backends its hot path ran on.
-	StreamVersion int    `json:"stream_version,omitempty"`
-	FillAccel     string `json:"fill_accel,omitempty"`
-	EvalAccel     string `json:"eval_accel,omitempty"`
-	NMBefore      int64  `json:"nm_before,omitempty"`
-	NMAfter       int64  `json:"nm_after,omitempty"`
-	Components    int64  `json:"components,omitempty"`
-	Err           string `json:"error,omitempty"`
+	// FillAccel/EvalAccel name the kernel backends the engine's hot
+	// path ran on (sampling engines only; omitted for search engines).
+	FillAccel  string `json:"fill_accel,omitempty"`
+	EvalAccel  string `json:"eval_accel,omitempty"`
+	NMBefore   int64  `json:"nm_before,omitempty"`
+	NMAfter    int64  `json:"nm_after,omitempty"`
+	Components int64  `json:"components,omitempty"`
+	Err        string `json:"error,omitempty"`
 }
 
 type instance struct {
@@ -564,7 +562,6 @@ func solveOne(engine string, in instance, seed uint64, samples int64, timeout ti
 	run.Status = res.Status.String()
 	run.WallNS = res.Wall.Nanoseconds()
 	run.Samples = res.Stats.Samples
-	run.StreamVersion = res.Stats.StreamVersion
 	run.FillAccel = res.Stats.FillAccel
 	run.EvalAccel = res.Stats.EvalAccel
 	run.NMBefore = res.Stats.NMBefore

@@ -51,17 +51,10 @@ type Options struct {
 	// returns SAT when mean > Theta·stderr. Default 4.
 	Theta float64
 	// Workers is the number of parallel sampling goroutines. Default 1.
-	// Under stream contract v2 results are bit-identical for every
-	// worker count (workers claim disjoint sample-index chunks of the
-	// same counter-addressed streams); under v1 they are deterministic
-	// only for a fixed worker count.
+	// Results are bit-identical for every worker count (workers claim
+	// disjoint sample-index chunks of the same counter-addressed
+	// streams).
 	Workers int
-	// StreamVersion selects the noise stream contract. Default (0)
-	// selects noise.StreamV2, the counter-based stateless contract;
-	// noise.StreamV1 keeps the legacy stateful-generator streams as a
-	// migration oracle. The two contracts draw different samples, so
-	// verdict traces are version-specific.
-	StreamVersion int
 	// Block overrides the sampling batch size. Default 0 selects the
 	// cache-aware hyperspace.BlockSize for the instance geometry. The
 	// per-source sample streams are identical for every block size
@@ -97,9 +90,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
-	}
-	if o.StreamVersion == 0 {
-		o.StreamVersion = noise.StreamV2
 	}
 	return o
 }
@@ -153,11 +143,7 @@ func NewEngine(f *cnf.Formula, opts Options) (*Engine, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
-	o := opts.withDefaults()
-	if o.StreamVersion != noise.StreamV1 && o.StreamVersion != noise.StreamV2 {
-		return nil, fmt.Errorf("core: unknown stream version %d", o.StreamVersion)
-	}
-	return &Engine{f: f, opts: o}, nil
+	return &Engine{f: f, opts: opts.withDefaults()}, nil
 }
 
 // Formula returns the engine's formula.

@@ -20,16 +20,6 @@ import (
 // interface and registers them as "mc" (Monte-Carlo Algorithm 1/2) and
 // "exact" (infinite-sample closed form).
 
-// The solver package mirrors the stream version constants (it cannot
-// import noise without inverting the dependency); pin the mirror at
-// compile time so the two namespaces cannot drift.
-const (
-	_ = uint(noise.StreamV1 - solver.StreamV1)
-	_ = uint(solver.StreamV1 - noise.StreamV1)
-	_ = uint(noise.StreamV2 - solver.StreamV2)
-	_ = uint(solver.StreamV2 - noise.StreamV2)
-)
-
 func init() {
 	solver.Register("mc", func(cfg solver.Config) solver.Solver {
 		return &mcSolver{cfg: cfg}
@@ -145,11 +135,7 @@ func (s *mcSolver) Solve(ctx context.Context, f *cnf.Formula) (solver.Result, er
 		sp.SetAttr("m", strconv.Itoa(f.NumClauses()))
 		sp.SetAttr("eval_accel", hyperspace.EvalAccelName())
 		if fam, err := ParseFamily(s.cfg.Family); err == nil {
-			v := s.cfg.StreamVersion
-			if v == 0 {
-				v = noise.StreamV2
-			}
-			sp.SetAttr("fill_accel", noise.FillAccelKernel(fam, v))
+			sp.SetAttr("fill_accel", noise.FillAccelKernel(fam, noise.StreamV2))
 		}
 	}
 	out, err := s.solve(ctx, f, sp)
@@ -179,12 +165,11 @@ func (s *mcSolver) solve(ctx context.Context, f *cnf.Formula, sp *obs.Span) (sol
 		}
 	} else {
 		eng, err = NewEngine(f, Options{
-			Family:        fam,
-			Seed:          s.cfg.Seed,
-			MaxSamples:    s.cfg.MaxSamples,
-			Theta:         s.cfg.Theta,
-			Workers:       s.cfg.Workers,
-			StreamVersion: s.cfg.StreamVersion,
+			Family:     fam,
+			Seed:       s.cfg.Seed,
+			MaxSamples: s.cfg.MaxSamples,
+			Theta:      s.cfg.Theta,
+			Workers:    s.cfg.Workers,
 		})
 		if err != nil {
 			return solver.Result{}, err
@@ -222,7 +207,6 @@ func (s *mcSolver) solve(ctx context.Context, f *cnf.Formula, sp *obs.Span) (sol
 	if s.cfg.FindModel {
 		res, err := eng.AssignCtx(ctx)
 		out := solver.Result{Stats: assignStats(res)}
-		out.Stats.StreamVersion = eng.Options().StreamVersion
 		stampAccel(&out.Stats, eng)
 		switch {
 		case err == nil:
@@ -251,7 +235,6 @@ func (s *mcSolver) solve(ctx context.Context, f *cnf.Formula, sp *obs.Span) (sol
 	out := solver.Result{
 		Stats: solver.Stats{
 			Samples: r.Samples, Mean: r.Mean, StdErr: r.StdErr,
-			StreamVersion: eng.Options().StreamVersion,
 		},
 	}
 	stampAccel(&out.Stats, eng)
@@ -264,10 +247,10 @@ func (s *mcSolver) solve(ctx context.Context, f *cnf.Formula, sp *obs.Span) (sol
 
 // stampAccel records the kernel backends the engine's hot path runs
 // on: the block-evaluator row kernels, and the noise fill for the
-// engine's family under its stream contract.
+// engine's family.
 func stampAccel(st *solver.Stats, eng *Engine) {
 	st.EvalAccel = hyperspace.EvalAccelName()
-	st.FillAccel = noise.FillAccelKernel(eng.Options().Family, eng.Options().StreamVersion)
+	st.FillAccel = noise.FillAccelKernel(eng.Options().Family, noise.StreamV2)
 }
 
 func assignStats(res AssignResult) solver.Stats {

@@ -153,11 +153,10 @@ func TestProgressUnderChunkClaimingSampler(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		var counts []int64
 		eng, err := NewEngine(f, Options{
-			Family:        noise.UniformUnit,
-			Workers:       workers,
-			MaxSamples:    maxSamples,
-			CheckEvery:    checkEvery,
-			StreamVersion: noise.StreamV2,
+			Family:     noise.UniformUnit,
+			Workers:    workers,
+			MaxSamples: maxSamples,
+			CheckEvery: checkEvery,
 			Progress: func(samples int64, mean, stderr float64) {
 				counts = append(counts, samples)
 			},

@@ -43,26 +43,3 @@ func TestWorkersNeverChangeResults(t *testing.T) {
 		}
 	}
 }
-
-// TestWorkersV1StillFixedCountDeterministic guards the migration
-// oracle: under stream v1 a fixed worker count still replays exactly.
-func TestWorkersV1StillFixedCountDeterministic(t *testing.T) {
-	f := gen.PaperSAT()
-	var ref Result
-	for i := 0; i < 2; i++ {
-		eng, err := NewEngine(f, Options{
-			Seed: 7, MaxSamples: 60_000, Workers: 4, StreamVersion: noise.StreamV1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := eng.Check()
-		if i == 0 {
-			ref = r
-			continue
-		}
-		if r != ref {
-			t.Errorf("v1 replay drifted: got %+v want %+v", r, ref)
-		}
-	}
-}

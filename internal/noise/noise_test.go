@@ -316,74 +316,49 @@ func TestFillBlockAtSeekable(t *testing.T) {
 	}
 }
 
-func TestFillBlockAtV1RequiresCursor(t *testing.T) {
-	b := NewBankVersion(UniformUnit, 1, 2, 2, StreamV1)
-	pos, neg := make([]float64, 4), make([]float64, 4)
-	b.FillBlockAt(0, 1, pos, neg) // at cursor: fine
-	defer func() {
-		if recover() == nil {
-			t.Fatal("v1 FillBlockAt off-cursor must panic")
-		}
-	}()
-	b.FillBlockAt(7, 1, pos, neg)
-}
-
-func TestBankV1BlockMatchesScalar(t *testing.T) {
-	// The v1 migration oracle keeps its original pin: one k-sample block
-	// and k successive single-sample fills consume identical streams.
-	for _, f := range []Family{UniformHalf, Gaussian, RTW, Pulse} {
-		blk := NewBankVersion(f, 5, 2, 2, StreamV1)
-		seq := NewBankVersion(f, 5, 2, 2, StreamV1)
-		const k = 16
-		nm := 4
-		bp, bn := make([]float64, nm*k), make([]float64, nm*k)
-		blk.FillBlockAt(0, k, bp, bn)
-		sp, sn := make([]float64, nm), make([]float64, nm)
-		for s := 0; s < k; s++ {
-			fillAt(seq, uint64(s), sp, sn)
-			for src := 0; src < nm; src++ {
-				if bp[src*k+s] != sp[src] || bn[src*k+s] != sn[src] {
-					t.Fatalf("%v: v1 block/scalar divergence at sample %d src %d", f, s, src)
-				}
-			}
-		}
-	}
-}
-
 func TestSourceAtReplaysBank(t *testing.T) {
-	// SourceAt must replay the bank's own streams under both contracts.
-	for _, version := range []int{StreamV1, StreamV2} {
-		for _, f := range []Family{UniformUnit, Gaussian, RTW, Pulse} {
-			const seed = 13
-			b := NewBankVersion(f, seed, 2, 2, version)
-			srcPos := b.SourceAt(seed, 2, 1, false)
-			srcNeg := b.SourceAt(seed, 2, 1, true)
-			pos, neg := make([]float64, 4), make([]float64, 4)
-			for i := 0; i < 50; i++ {
-				fillAt(b, uint64(i), pos, neg)
-				if got, want := srcPos.Next(), pos[2]; got != want {
-					t.Fatalf("v%d %v: SourceAt(+) sample %d = %v, bank %v", version, f, i, got, want)
-				}
-				if got, want := srcNeg.Next(), neg[2]; got != want {
-					t.Fatalf("v%d %v: SourceAt(-) sample %d = %v, bank %v", version, f, i, got, want)
-				}
+	// SourceAt must replay the bank's own streams.
+	for _, f := range []Family{UniformUnit, Gaussian, RTW, Pulse} {
+		const seed = 13
+		b := NewBank(f, seed, 2, 2)
+		srcPos := b.SourceAt(seed, 2, 1, false)
+		srcNeg := b.SourceAt(seed, 2, 1, true)
+		pos, neg := make([]float64, 4), make([]float64, 4)
+		for i := 0; i < 50; i++ {
+			fillAt(b, uint64(i), pos, neg)
+			if got, want := srcPos.Next(), pos[2]; got != want {
+				t.Fatalf("%v: SourceAt(+) sample %d = %v, bank %v", f, i, got, want)
+			}
+			if got, want := srcNeg.Next(), neg[2]; got != want {
+				t.Fatalf("%v: SourceAt(-) sample %d = %v, bank %v", f, i, got, want)
 			}
 		}
 	}
 }
 
 func TestReseedRewindsCursor(t *testing.T) {
-	// v1 streams are sequential: after two fills the bank only serves
-	// base 2, so a successful re-fill at base 0 after Reseed proves the
-	// cursor (and the generator states) rewound.
-	b := NewBankVersion(UniformUnit, 3, 2, 2, StreamV1)
-	pos, neg := make([]float64, 4), make([]float64, 4)
-	fillAt(b, 0, pos, neg)
-	first := pos[0]
-	fillAt(b, 1, pos, neg)
+	// Reseed(s) after fills at other bases, and after a reseed to a
+	// different seed, must reproduce a fresh bank's block exactly.
+	const k = 8
+	nm := 4
+	fresh := NewBank(UniformUnit, 3, 2, 2)
+	wantP, wantN := make([]float64, nm*k), make([]float64, nm*k)
+	fresh.FillBlockAt(0, k, wantP, wantN)
+
+	b := NewBank(UniformUnit, 3, 2, 2)
+	pos, neg := make([]float64, nm*k), make([]float64, nm*k)
+	b.FillBlockAt(40, k, pos, neg)
+	b.Reseed(9)
+	b.FillBlockAt(0, k, pos, neg)
+	if pos[0] == wantP[0] {
+		t.Fatal("Reseed(9) must change the streams")
+	}
+	b.FillBlockAt(17, k, pos, neg)
 	b.Reseed(3)
-	fillAt(b, 0, pos, neg)
-	if pos[0] != first {
-		t.Error("Reseed(same seed) must rewind the v1 cursor to sample 0")
+	b.FillBlockAt(0, k, pos, neg)
+	for i := range pos {
+		if pos[i] != wantP[i] || neg[i] != wantN[i] {
+			t.Fatalf("Reseed(3) block diverges from a fresh bank at %d", i)
+		}
 	}
 }

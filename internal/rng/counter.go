@@ -1,12 +1,8 @@
 package rng
 
-// Stream contract v2: counter-based stateless generation.
+// The noise stream contract (v2): counter-based stateless generation.
 //
-// Contract v1 derived one stateful xoshiro256** generator per noise
-// source and drew from it sequentially, which made the 2·n·m draws per
-// hyperspace sample an inherently serial dependency chain and pinned
-// every consumer to one cursor per stream. Contract v2 replaces the
-// stateful streams with a pure function of coordinates:
+// Every noise sample is a pure function of its coordinates:
 //
 //	Word(StreamBase(seed, src), i)
 //
@@ -26,14 +22,14 @@ package rng
 // bit-identical to the pure-Go loop — the Go path is the conformance
 // oracle, not the other way around.
 
-// StreamBase derives the v2 stream base for source src under seed.
+// StreamBase derives the stream base for source src under seed.
 // It is Mix(seed, src): injective in src for a fixed seed, so distinct
 // sources can never share a base.
 func StreamBase(seed, src uint64) uint64 {
 	return Mix(seed, src)
 }
 
-// Word returns sample i of the v2 word stream with the given base:
+// Word returns sample i of the word stream with the given base:
 // the output a SplitMix64 seeded with base would produce on its
 // (i+1)-th call, computed directly from the coordinates.
 func Word(base, i uint64) uint64 {
@@ -61,8 +57,8 @@ func FillUniformAt(base, start uint64, dst []float64, lo, span float64) {
 // fillUniformGo is the portable fill and the conformance oracle for the
 // assembly kernel. The loop carries only the trivially predictable
 // state += golden recurrence; the mix chains of successive iterations
-// are independent, so the CPU pipelines them without any of v1's
-// serial xoshiro dependency.
+// are independent, so the CPU pipelines them without a serial
+// generator-state dependency.
 func fillUniformGo(base, start uint64, dst []float64, lo, span float64) {
 	state := base + (start+1)*golden
 	for s := range dst {
@@ -76,7 +72,7 @@ func fillUniformGo(base, start uint64, dst []float64, lo, span float64) {
 }
 
 // FillRTWAt writes dst[s] = ±1 by the parity of Word(base, start+s) for
-// s in [0, len(dst)) — the bulk form of the v2 random-telegraph-wave
+// s in [0, len(dst)) — the bulk form of the random-telegraph-wave
 // sample (noise.RTW). The same seekability contract as FillUniformAt
 // applies: values depend only on (base, index), so any split between
 // the accelerated and portable paths is bit-identical. It is in fact
@@ -108,7 +104,7 @@ func fillRTWGo(base, start uint64, dst []float64) {
 	}
 }
 
-// FillPulseAt writes the v2 pulse-train samples for indices
+// FillPulseAt writes the pulse-train samples for indices
 // start..start+len(dst)-1 of the stream with the given base: sample s is
 // 0 when the word's top-53-bit uniform is >= density, otherwise ±amp by
 // the word's parity bit (noise.Pulse semantics, parameterized so rng

@@ -159,16 +159,6 @@ func BenchmarkFillUniformAt(b *testing.B) {
 	}
 }
 
-func BenchmarkFillUniformPairV1(b *testing.B) {
-	a := make([]float64, 2048)
-	c := make([]float64, 2048)
-	g, h := NewStream(1, 0), NewStream(1, 1)
-	b.SetBytes(int64((len(a) + len(c)) * 8))
-	for i := 0; i < b.N; i++ {
-		FillUniformPair(g, h, a, c, -1, 2)
-	}
-}
-
 // FillRTWAt must be bit-identical to the per-index scalar formula
 // sign(Word & 1): +1 for odd words, -1 for even. The AVX2 kernel builds
 // the sign by XORing the parity bit into -1.0's sign bit, so a lane

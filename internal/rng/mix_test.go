@@ -37,25 +37,3 @@ func TestMixSensitivity(t *testing.T) {
 		}
 	}
 }
-
-// TestFillUniformPairMatchesScalarDraws pins the bulk generator loop to
-// the scalar Float64 sequence of both streams.
-func TestFillUniformPairMatchesScalarDraws(t *testing.T) {
-	g1, h1 := NewStream(9, 1), NewStream(9, 2)
-	g2, h2 := NewStream(9, 1), NewStream(9, 2)
-	const k = 100
-	a, b := make([]float64, k), make([]float64, k)
-	FillUniformPair(g1, h1, a, b, -0.5, 1)
-	for i := 0; i < k; i++ {
-		if want := -0.5 + 1*g2.Float64(); a[i] != want {
-			t.Fatalf("a[%d] = %v, want %v", i, a[i], want)
-		}
-		if want := -0.5 + 1*h2.Float64(); b[i] != want {
-			t.Fatalf("b[%d] = %v, want %v", i, b[i], want)
-		}
-	}
-	// The bulk call must leave the generators exactly k draws ahead.
-	if g1.Uint64() != g2.Uint64() || h1.Uint64() != h2.Uint64() {
-		t.Fatal("FillUniformPair left generator state out of sync with scalar draws")
-	}
-}

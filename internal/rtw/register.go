@@ -100,7 +100,7 @@ func (s *rtwSolver) solve(ctx context.Context, f *cnf.Formula) (solver.Result, e
 			}
 		}
 	} else {
-		eng, err := NewVersion(f, s.cfg.Seed, s.cfg.StreamVersion)
+		eng, err := New(f, s.cfg.Seed)
 		if err != nil {
 			return solver.Result{}, err
 		}
@@ -110,7 +110,6 @@ func (s *rtwSolver) solve(ctx context.Context, f *cnf.Formula) (solver.Result, e
 	out := solver.Result{
 		Stats: solver.Stats{
 			Samples: r.Samples, Mean: r.Mean, StdErr: r.StdErr,
-			StreamVersion: s.eng.StreamVersion(),
 			// The integer-parity kernel bypasses both accelerated paths.
 			FillAccel: "none", EvalAccel: "none",
 		},

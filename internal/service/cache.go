@@ -155,7 +155,9 @@ func (c *verdictCache) put(task solver.Task, engine, cfg string, canon *cnf.Cano
 		}
 		// Best-effort write-through: a full disk must not fail the job
 		// whose verdict was just earned — the LRU still has it, and the
-		// next process can re-earn it.
+		// next process can re-earn it. The store counts the failure
+		// (Stats.WriteErrors, exported on /metrics), so dropping the
+		// error here does not hide it.
 		_ = c.store.Put(verdictstore.Record{
 			Engine: engine, ConfigKey: cfg, Fingerprint: canon.Fingerprint(),
 			Task: recTask, Result: storeRes,

@@ -211,6 +211,7 @@ func (m *metrics) render(w *bytes.Buffer, g gauges) {
 		prom.Counter(w, "nblserve_store_hits_total", "Verdict-store (durable tier) hits on LRU misses.", g.store.Hits)
 		prom.Counter(w, "nblserve_store_misses_total", "Verdict-store lookups that missed both tiers.", g.store.Misses)
 		prom.Counter(w, "nblserve_store_flushes_total", "Verdict records appended (each append is one flushed write).", g.store.Appends)
+		prom.Counter(w, "nblserve_store_write_errors_total", "Verdict records that failed to write (the job still succeeds; the verdict stays in the LRU only).", g.store.WriteErrors)
 		prom.Gauge(w, "nblserve_store_entries", "Live verdict-store records (loaded + appended, deduplicated).", g.store.Entries)
 		prom.Gauge(w, "nblserve_store_torn_bytes", "Bytes dropped as a torn tail when the store was opened.", g.store.TornBytes)
 	}

@@ -260,6 +260,33 @@ func TestStoreMetricsFamilies(t *testing.T) {
 	}
 }
 
+// TestStoreWriteErrorCounted: a verdict-store write that fails (here a
+// closed backing file, standing in for a full disk) must not fail the
+// job — it finishes done with its verdict — and must show on the
+// store's WriteErrors counter and its /metrics family.
+func TestStoreWriteErrorCounted(t *testing.T) {
+	vs := openStore(t, filepath.Join(t.TempDir(), "verdicts.nbl"))
+	if err := vs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newHTTPServer(t, Config{Workers: 1, Store: vs})
+
+	job, err := s.Submit(testFormula(), SubmitOptions{Engine: "svc-echo"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := waitDone(t, job)
+	if snap.State != StateDone || snap.Result.Status != solver.StatusSat {
+		t.Fatalf("job with a failing store write: %+v", snap)
+	}
+	if got := vs.Stats().WriteErrors; got != 1 {
+		t.Errorf("store WriteErrors = %d, want 1", got)
+	}
+	if _, body := getMetrics(t, ts); !strings.Contains(body, "nblserve_store_write_errors_total 1") {
+		t.Errorf("metrics missing the write-error count:\n%s", body)
+	}
+}
+
 func getMetrics(t *testing.T, ts *httptest.Server) (int, string) {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/metrics")

@@ -149,10 +149,6 @@ type Stats struct {
 	// Mean and StdErr describe the final S_N statistic (NBL engines).
 	Mean   float64 `json:"mean,omitempty"`
 	StdErr float64 `json:"stderr,omitempty"`
-	// StreamVersion echoes the noise stream contract the sampling NBL
-	// engines drew from (2 = counter-based, 1 = legacy stateful).
-	// omitempty keeps non-sampling engines' records byte-identical.
-	StreamVersion int `json:"stream_version,omitempty"`
 	// NMBefore and NMAfter record the n·m product before and after
 	// preprocessing, and Components the number of variable-disjoint
 	// subformulas solved independently (pipeline meta-engines). Zero
@@ -162,8 +158,8 @@ type Stats struct {
 	Components int64 `json:"components,omitempty"`
 	// FillAccel and EvalAccel name the accelerated kernels active in the
 	// build that produced this result ("avx2" or "none"): FillAccel the
-	// noise-fill backend for the engine's family/stream combination,
-	// EvalAccel the S_N block-evaluator row kernels. Both backends are
+	// noise-fill backend for the engine's noise family, EvalAccel the
+	// S_N block-evaluator row kernels. Both backends are
 	// bit-identical to the portable paths, so these are provenance
 	// fields, not result qualifiers. Empty for engines without a sampled
 	// hot path, which keeps their records byte-identical.
@@ -177,11 +173,9 @@ type Stats struct {
 // would be meaningless — the caller decides whose statistic survives.
 // NMBefore/NMAfter/Components likewise describe one preprocessing run,
 // not an accumulable effort, and stay with whoever set them.
-// StreamVersion is an identity, not a counter: s keeps its own when
-// set, and otherwise adopts other's, so a meta-engine merging sampling
-// components still echoes the contract they drew from; FillAccel and
-// EvalAccel follow the same rule (all components run in one build, so
-// any component's kernel name is the merge's).
+// FillAccel and EvalAccel are identities, not counters: s keeps its own
+// when set, and otherwise adopts other's (all components run in one
+// build, so any component's kernel name is the merge's).
 func (s *Stats) Add(other Stats) {
 	s.Samples += other.Samples
 	s.Decisions += other.Decisions
@@ -190,9 +184,6 @@ func (s *Stats) Add(other Stats) {
 	s.Flips += other.Flips
 	s.Restarts += other.Restarts
 	s.Probes += other.Probes
-	if s.StreamVersion == 0 {
-		s.StreamVersion = other.StreamVersion
-	}
 	if s.FillAccel == "" {
 		s.FillAccel = other.FillAccel
 	}
@@ -439,13 +430,6 @@ type Config struct {
 	// reads its task to pick count-safe preprocessing), so the task
 	// must separate pool and cache identities, which Key() guarantees.
 	Task Task
-	// StreamVersion selects the noise stream contract of the sampling
-	// NBL engines (mc, rtw): 2 (the default) is the counter-based
-	// stateless contract, 1 the legacy stateful-generator streams kept
-	// as a migration oracle. The two contracts draw different samples,
-	// so the version separates cache and verdict-store identities —
-	// Key() appends it only when non-default, like Task.
-	StreamVersion int
 }
 
 func (c Config) withDefaults() Config {
@@ -464,20 +448,8 @@ func (c Config) withDefaults() Config {
 	if c.Task == "" {
 		c.Task = TaskDecide
 	}
-	if c.StreamVersion == 0 {
-		c.StreamVersion = DefaultStreamVersion
-	}
 	return c
 }
-
-// Stream contract versions, mirrored from package noise (which solver
-// cannot import without inverting the dependency): 2 is the
-// counter-based stateless contract, 1 the legacy stateful streams.
-const (
-	StreamV1             = 1
-	StreamV2             = 2
-	DefaultStreamVersion = StreamV2
-)
 
 // Key folds every engine-selecting knob into a comparison string: two
 // Configs with equal Keys construct behaviorally identical engines, so
@@ -486,12 +458,10 @@ const (
 // a zero Config and an explicit default Config select the same engine
 // and must key identically.
 //
-// The task is appended only when it is not decide, and the stream
-// version only when it is not the default contract: every default
-// Config keys byte-identically to its pre-task-model, pre-stream-v2
-// form, so verdict-store files written before those knobs existed
-// replay unchanged (the durable store persists these keys across
-// releases).
+// The task is appended only when it is not decide: every decide
+// Config keys byte-identically to its pre-task-model form, so
+// verdict-store files written before tasks existed replay unchanged
+// (the durable store persists these keys across releases).
 func (c Config) Key() string {
 	c = c.withDefaults()
 	key := fmt.Sprintf("%d|%d|%g|%d|%s|%s|%d|%d|%g|%d|%t|%v",
@@ -499,9 +469,6 @@ func (c Config) Key() string {
 		c.MaxFlips, c.Restarts, c.NoiseP, c.Candidates, c.FindModel, c.Members)
 	if c.Task != TaskDecide {
 		key += "|" + string(c.Task)
-	}
-	if c.StreamVersion != DefaultStreamVersion {
-		key += fmt.Sprintf("|stream%d", c.StreamVersion)
 	}
 	return key
 }
@@ -547,10 +514,6 @@ func WithMembers(names ...string) Option { return func(c *Config) { c.Members = 
 
 // WithTask selects the solve task (decide, count, weighted-count).
 func WithTask(t Task) Option { return func(c *Config) { c.Task = t } }
-
-// WithStreamVersion selects the noise stream contract of the sampling
-// NBL engines (StreamV2 counter-based default, StreamV1 legacy).
-func WithStreamVersion(v int) Option { return func(c *Config) { c.StreamVersion = v } }
 
 // CompleteResult maps a complete-search outcome onto a Result: a
 // non-nil error passes through (verdict unknown, partial stats kept), a
@@ -836,10 +799,6 @@ func NewWith(name string, cfg Config) (Solver, error) {
 	cfg = cfg.withDefaults()
 	if err := checkTask(name, cfg.Task); err != nil {
 		return nil, err
-	}
-	if cfg.StreamVersion != StreamV1 && cfg.StreamVersion != StreamV2 {
-		return nil, fmt.Errorf("solver: unknown stream version %d (supported: %d, %d)",
-			cfg.StreamVersion, StreamV1, StreamV2)
 	}
 	regMu.RLock()
 	factory, ok := registry[name]

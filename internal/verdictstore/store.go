@@ -147,6 +147,7 @@ type Store struct {
 	index map[string]Record
 
 	hits, misses, appends int64
+	writeErrors           int64 // Puts that failed to frame or write
 	loaded                int64 // records recovered at Open
 	tornBytes             int64 // bytes truncated from the tail at Open
 	compactions           int64
@@ -249,7 +250,10 @@ func (s *Store) GetTask(task, engine, configKey, fingerprint string) (Record, bo
 // Put appends a definitive verdict. A key already present is left
 // alone (the earlier verdict is just as definitive, and skipping the
 // append is what keeps file growth bounded by distinct solves); an
-// UNKNOWN verdict is rejected with ErrNotDefinitive.
+// UNKNOWN verdict is rejected with ErrNotDefinitive. A record that
+// fails to frame or write returns the error and counts in
+// Stats.WriteErrors, so best-effort callers that drop the error still
+// leave a trace.
 func (s *Store) Put(rec Record) error {
 	if !rec.Result.Status.Definitive() {
 		return ErrNotDefinitive
@@ -261,12 +265,14 @@ func (s *Store) Put(rec Record) error {
 		return nil
 	}
 	framed, err := frameRecord(rec)
-	if err != nil {
-		return err
+	if err == nil {
+		// One Write per record: the crash-safety argument in the
+		// package comment depends on never splitting a record across
+		// appends.
+		_, err = s.f.Write(framed)
 	}
-	// One Write per record: the crash-safety argument in the package
-	// comment depends on never splitting a record across appends.
-	if _, err := s.f.Write(framed); err != nil {
+	if err != nil {
+		s.writeErrors++
 		return err
 	}
 	s.index[key] = rec
@@ -396,8 +402,9 @@ func (s *Store) Compact() error {
 type Stats struct {
 	// Hits and Misses count Get lookups.
 	Hits, Misses int64
-	// Appends counts records flushed to the file this process lifetime.
-	Appends int64
+	// Appends counts records flushed to the file this process lifetime;
+	// WriteErrors counts Puts whose record failed to frame or write.
+	Appends, WriteErrors int64
 	// Entries is the live (distinct-key) record count; Loaded how many
 	// were recovered from disk at Open.
 	Entries, Loaded int64
@@ -412,7 +419,7 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Hits: s.hits, Misses: s.misses, Appends: s.appends,
+		Hits: s.hits, Misses: s.misses, Appends: s.appends, WriteErrors: s.writeErrors,
 		Entries: int64(len(s.index)), Loaded: s.loaded,
 		TornBytes: s.tornBytes, Compactions: s.compactions,
 	}

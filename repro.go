@@ -121,28 +121,19 @@ const (
 
 // Functional options for New, re-exported.
 var (
-	WithSeed          = solver.WithSeed
-	WithMaxSamples    = solver.WithMaxSamples
-	WithTheta         = solver.WithTheta
-	WithWorkers       = solver.WithWorkers
-	WithFamily        = solver.WithFamily
-	WithAllocation    = solver.WithAllocation
-	WithMaxFlips      = solver.WithMaxFlips
-	WithRestarts      = solver.WithRestarts
-	WithNoiseP        = solver.WithNoiseP
-	WithCandidates    = solver.WithCandidates
-	WithModel         = solver.WithModel
-	WithMembers       = solver.WithMembers
-	WithTask          = solver.WithTask
-	WithStreamVersion = solver.WithStreamVersion
-)
-
-// Noise stream contract versions for WithStreamVersion: StreamV2 is
-// the counter-based stateless contract (the default), StreamV1 the
-// legacy stateful streams kept as a migration oracle.
-const (
-	StreamV1 = solver.StreamV1
-	StreamV2 = solver.StreamV2
+	WithSeed       = solver.WithSeed
+	WithMaxSamples = solver.WithMaxSamples
+	WithTheta      = solver.WithTheta
+	WithWorkers    = solver.WithWorkers
+	WithFamily     = solver.WithFamily
+	WithAllocation = solver.WithAllocation
+	WithMaxFlips   = solver.WithMaxFlips
+	WithRestarts   = solver.WithRestarts
+	WithNoiseP     = solver.WithNoiseP
+	WithCandidates = solver.WithCandidates
+	WithModel      = solver.WithModel
+	WithMembers    = solver.WithMembers
+	WithTask       = solver.WithTask
 )
 
 // ParseTask maps a task name ("", "decide", "count", "weighted-count",

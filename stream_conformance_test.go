@@ -1,7 +1,7 @@
-// Conformance suite for stream contract v2: the sampling engines'
-// results must be invariant to the worker count (workers claim
-// disjoint sample-index chunks of the same counter-addressed streams),
-// and the legacy v1 contract must stay selectable.
+// Conformance suite for the noise stream contract: the sampling
+// engines' results must be invariant to the worker count (workers
+// claim disjoint sample-index chunks of the same counter-addressed
+// streams).
 package repro
 
 import (
@@ -42,49 +42,5 @@ func TestWorkerCountNeverChangesResults(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestStreamV1StillSelectable pins the migration oracle: the legacy
-// contract stays reachable through the registry, reports itself in
-// Stats, and still reaches correct verdicts on the paper instances.
-func TestStreamV1StillSelectable(t *testing.T) {
-	for label, f := range conformanceInstances(t) {
-		oracle := ExactCheck(f)
-		s, err := New("mc",
-			WithSeed(1), WithMaxSamples(1_000_000), WithStreamVersion(StreamV1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := s.Solve(context.Background(), f)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if r.Stats.StreamVersion != StreamV1 {
-			t.Errorf("%s: Stats.StreamVersion = %d, want %d",
-				label, r.Stats.StreamVersion, StreamV1)
-		}
-		if r.Status == StatusSat && !oracle {
-			t.Errorf("%s: v1 engine says SAT, oracle says UNSAT (%v)", label, r)
-		}
-		if r.Status == StatusUnsat && oracle {
-			t.Errorf("%s: v1 engine says UNSAT, oracle says SAT (%v)", label, r)
-		}
-	}
-}
-
-// TestStreamVersionEchoedInStats pins the default contract's echo: a
-// plain mc solve reports stream version 2.
-func TestStreamVersionEchoedInStats(t *testing.T) {
-	s, err := New("mc", WithSeed(1), WithMaxSamples(1_000_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := s.Solve(context.Background(), PaperSAT())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Stats.StreamVersion != StreamV2 {
-		t.Errorf("Stats.StreamVersion = %d, want %d", r.Stats.StreamVersion, StreamV2)
 	}
 }
