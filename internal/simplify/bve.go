@@ -1,6 +1,8 @@
 package simplify
 
 import (
+	"slices"
+
 	"repro/internal/cnf"
 )
 
@@ -33,127 +35,106 @@ type Elimination struct {
 // eliminate runs one sweep of bounded variable elimination. conflict
 // reports that an empty resolvent was derived (only possible when both
 // sides are unit clauses, i.e. (v)·(¬v) — normally unit propagation has
-// removed those first).
+// removed those first). Eliminated clauses are tombstoned and
+// resolvents appended, so the survivors are the untouched clauses in
+// order, then the resolvents as made; one compaction ends the sweep.
 func eliminate(clauses []cnf.Clause, numVars int, res *Result) (out []cnf.Clause, conflict, changed bool) {
-	// Occurrence lists, rebuilt per sweep (elimination invalidates them).
+	clauses = clauses[:len(clauses):len(clauses)] // appends never reach the caller's array
+	x := newOccIndex(clauses, numVars)
+	dead := make([]bool, len(clauses))
 	for v := cnf.Var(1); int(v) <= numVars; v++ {
-		var pos, neg []int
-		for i, c := range clauses {
-			switch {
-			case c.Contains(cnf.Pos(v)):
-				pos = append(pos, i)
-			case c.Contains(cnf.Neg(v)):
-				neg = append(neg, i)
-			}
+		pos, neg := x.live(cnf.Pos(v), dead), x.live(cnf.Neg(v), dead)
+		if len(pos) == 0 || len(neg) == 0 || len(pos)*len(neg) > maxResolvePairs {
+			continue // absent, pure (the pure pass handles it) or too costly
 		}
-		if len(pos) == 0 || len(neg) == 0 {
-			continue // absent or pure: the pure pass handles it
+		if hasUnit(clauses, pos) && hasUnit(clauses, neg) { // before resolveAll can stop early
+			return nil, true, true
 		}
-		if len(pos)*len(neg) > maxResolvePairs {
-			continue
-		}
-		resolvents := make([]cnf.Clause, 0, len(pos)*len(neg))
-		for _, pi := range pos {
-			for _, ni := range neg {
-				r, ok := resolve(clauses[pi], clauses[ni], v)
-				if !ok {
-					continue // tautological resolvent
-				}
-				if len(r) == 0 {
-					return nil, true, true
-				}
-				resolvents = append(resolvents, r)
-			}
-		}
-		resolvents = dedupClauses(resolvents)
-		if len(resolvents) > len(pos)+len(neg) {
+		resolvents, ok := x.resolveAll(clauses, pos, neg, v)
+		if !ok {
 			continue // elimination would grow the formula
 		}
-
-		// Commit: record the removed clauses for reconstruction, splice
-		// in the resolvents.
-		elim := Elimination{V: v}
-		next := make([]cnf.Clause, 0, len(clauses)-len(pos)-len(neg)+len(resolvents))
-		touched := make(map[int]bool, len(pos)+len(neg))
-		for _, i := range pos {
-			touched[i] = true
+		// Commit: record the removed clauses, in formula order, for
+		// reconstruction; append the resolvents.
+		touched := append(slices.Clone(pos), neg...)
+		slices.Sort(touched)
+		elim := Elimination{V: v, Clauses: make([]cnf.Clause, len(touched))}
+		for k, i := range touched {
+			dead[i], elim.Clauses[k] = true, clauses[i]
 		}
-		for _, i := range neg {
-			touched[i] = true
+		for _, r := range resolvents {
+			x.add(r)
+			clauses, dead = append(clauses, r), append(dead, false)
 		}
-		for i, c := range clauses {
-			if touched[i] {
-				elim.Clauses = append(elim.Clauses, c)
-			} else {
-				next = append(next, c)
-			}
-		}
-		next = append(next, resolvents...)
 		res.Eliminations = append(res.Eliminations, elim)
 		res.Stats.VarsEliminated++
-		clauses = next
 		changed = true
 	}
-	return clauses, false, changed
-}
-
-// resolve computes the resolvent of p (containing v) and n (containing
-// ¬v) on v. ok is false when the resolvent is tautological.
-func resolve(p, n cnf.Clause, v cnf.Var) (cnf.Clause, bool) {
-	seen := make(map[cnf.Lit]bool, len(p)+len(n))
-	out := make(cnf.Clause, 0, len(p)+len(n)-2)
-	for _, l := range p {
-		if l.Var() == v {
-			continue
-		}
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
+	if !changed {
+		return clauses, false, false
+	}
+	out = make([]cnf.Clause, 0, len(clauses))
+	for i, c := range clauses {
+		if !dead[i] {
+			out = append(out, c)
 		}
 	}
-	for _, l := range n {
-		if l.Var() == v {
-			continue
-		}
-		if seen[l.Negate()] {
-			return nil, false
-		}
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
+	return out, false, true
+}
+
+// live drops the dead clauses from occ[l] and returns it.
+func (x *occIndex) live(l cnf.Lit, dead []bool) []int {
+	x.occ[l] = slices.DeleteFunc(x.occ[l], func(i int) bool { return dead[i] })
+	return x.occ[l]
+}
+
+func hasUnit(clauses []cnf.Clause, idx []int) bool {
+	return slices.ContainsFunc(idx, func(i int) bool { return len(clauses[i]) == 1 })
+}
+
+// resolveAll returns the distinct non-tautological resolvents on v of
+// every (p, n) pair, in pair order, first occurrence kept, in a slice
+// the next call reuses. ok is false as soon as there are more than
+// len(pos)+len(neg) of them.
+func (x *occIndex) resolveAll(clauses []cnf.Clause, pos, neg []int, v cnf.Var) ([]cnf.Clause, bool) {
+	out := x.resolvents[:0]
+	for _, pi := range pos {
+	pairs:
+		for _, ni := range neg {
+			var ok bool
+			if x.lits, ok = x.resolve(x.lits[:0], clauses[pi], clauses[ni], v); !ok {
+				continue // tautological resolvent
+			}
+			for _, d := range out { // resolve left x.lits marked
+				if len(d) == len(x.lits) && x.marked(d) == len(d) {
+					continue pairs
+				}
+			}
+			out = append(out, slices.Clone(x.lits))
+			if x.resolvents = out; len(out) > len(pos)+len(neg) {
+				return nil, false
+			}
 		}
 	}
 	return out, true
 }
 
-// dedupClauses removes exact duplicate clauses (same literal multiset;
-// clauses are compared as sets since resolve dedups literals).
-func dedupClauses(clauses []cnf.Clause) []cnf.Clause {
-	out := clauses[:0:0]
-	for i, c := range clauses {
-		dup := false
-		for _, d := range out {
-			if sameClause(c, d) {
-				dup = true
-				break
+// resolve appends the resolvent of p (containing v) and n (containing
+// ¬v) on v to buf, leaving its literals marked. ok is false when the
+// resolvent is tautological.
+func (x *occIndex) resolve(buf, p, n cnf.Clause, v cnf.Var) (cnf.Clause, bool) {
+	x.stamp++
+	for _, c := range [2]cnf.Clause{p, n} {
+		for _, l := range c {
+			switch {
+			case l.Var() == v || x.seen[l] == x.stamp:
+			case x.seen[l.Negate()] == x.stamp:
+				return buf, false
+			default:
+				x.seen[l] = x.stamp
+				buf = append(buf, l)
 			}
 		}
-		if !dup {
-			out = append(out, clauses[i])
-		}
 	}
-	return out
-}
-
-// sameClause reports set equality of two duplicate-free clauses.
-func sameClause(a, b cnf.Clause) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for _, l := range a {
-		if !b.Contains(l) {
-			return false
-		}
-	}
-	return true
+	return buf, true
 }

@@ -1,6 +1,17 @@
 // Package simplify implements CNF preprocessing: unit propagation, pure
 // literal elimination, tautology and duplicate removal, clause
-// subsumption, and self-subsuming resolution (clause strengthening).
+// subsumption, self-subsuming resolution (clause strengthening) and
+// bounded variable elimination.
+//
+// The clause passes follow SatELite (Eén & Biere, SAT 2005): each
+// builds per-literal occurrence lists, 64-bit clause signatures and a
+// stamp-array literal marker, so no pass compares every clause pair.
+// BVE stops resolving a variable as soon as its distinct resolvents
+// outnumber the clauses they would replace. The output is the same,
+// byte for byte, as the plain quadratic passes kept in oracle_test.go,
+// because pre(mc) noise streams, cache keys and stored verdicts all
+// hang on it. That is why subsumption keeps its exact sort.Slice call,
+// strengthening its sequential order and BVE its clause order.
 //
 // Preprocessing matters more for NBL-SAT than for classical solvers:
 // the Monte-Carlo engine's sample budget grows as 4^(n·m)
@@ -329,43 +340,52 @@ func eliminatePure(clauses []cnf.Clause, numVars int, res *Result) ([]cnf.Clause
 	return out, true
 }
 
-// litSet returns a membership set for the clause.
-func litSet(c cnf.Clause) map[cnf.Lit]bool {
-	s := make(map[cnf.Lit]bool, len(c))
-	for _, l := range c {
-		s[l] = true
-	}
-	return s
-}
-
 // subsume removes clauses that are supersets of another clause
 // (C subsumes D when C ⊆ D: every model satisfying C satisfies D, so D
 // is redundant). Clauses are processed shortest-first so survivors are
-// the strongest.
+// the strongest. Each C is checked only against the clauses in the
+// occurrence list of its rarest literal, and the signature test
+// discards most of those without reading them.
 func subsume(clauses []cnf.Clause, res *Result) ([]cnf.Clause, bool) {
 	order := make([]int, len(clauses))
 	for i := range order {
 		order[i] = i
 	}
+	// sort.Slice is not stable: among equal-length clauses it decides
+	// which of two duplicates survives, and so the output clause order.
+	// Keep this exact call.
 	sort.Slice(order, func(a, b int) bool {
 		return len(clauses[order[a]]) < len(clauses[order[b]])
 	})
+	x := newOccIndex(clauses, 0)
 	removed := make([]bool, len(clauses))
 	changed := false
-	for oi, i := range order {
+	for r, i := range order {
 		if removed[i] {
 			continue
 		}
-		ci := litSet(clauses[i])
-		for _, j := range order[oi+1:] {
-			if removed[j] || len(clauses[j]) < len(clauses[i]) {
+		c := clauses[i]
+		cands := order[r+1:] // the empty clause subsumes every later clause
+		if len(c) > 0 {
+			rare := c[0]
+			for _, l := range c[1:] {
+				if len(x.occ[l]) < len(x.occ[rare]) {
+					rare = l
+				}
+			}
+			cands = x.occ[rare]
+		}
+		x.mark(c)
+		for _, j := range cands {
+			// No order check is needed beyond j != i: a j ahead of i in
+			// the order with i ⊆ j is as long as i, so equal to it, and
+			// would have removed i already.
+			if removed[j] || j == i || x.sig[i]&^x.sig[j] != 0 || x.marked(clauses[j]) < len(c) {
 				continue
 			}
-			if containsAll(litSet(clauses[j]), ci) {
-				removed[j] = true
-				res.Stats.ClausesSubsumed++
-				changed = true
-			}
+			removed[j] = true
+			res.Stats.ClausesSubsumed++
+			changed = true
 		}
 	}
 	if !changed {
@@ -380,49 +400,37 @@ func subsume(clauses []cnf.Clause, res *Result) ([]cnf.Clause, bool) {
 	return out, true
 }
 
-// containsAll reports whether superset contains every literal of sub.
-func containsAll(superset, sub map[cnf.Lit]bool) bool {
-	for l := range sub {
-		if !superset[l] {
-			return false
-		}
-	}
-	return true
-}
-
 // strengthen applies self-subsuming resolution: if C = A ∪ {l} and
 // D ⊇ A ∪ {¬l}, the resolvent A ∪ (D \ {¬l}) subsumes D, so ¬l can be
-// deleted from D.
+// deleted from D. Clauses act in ascending order, each literal l of C
+// in turn against occ[¬l], which loses every D it strengthens; a
+// strengthened clause is a fresh slice, never an edit in place.
 func strengthen(clauses []cnf.Clause, res *Result) ([]cnf.Clause, bool) {
+	x := newOccIndex(clauses, 0)
 	changed := false
 	for i, c := range clauses {
+		x.mark(c)
 		for _, l := range c {
-			rest := make(map[cnf.Lit]bool, len(c)-1)
-			for _, x := range c {
-				if x != l {
-					rest[x] = true
-				}
-			}
 			neg := l.Negate()
-			for j, d := range clauses {
-				if i == j || !d.Contains(neg) {
+			rest := x.sig[i] &^ litBit(l) // every other bit comes from C \ {l}
+			kept := x.occ[neg][:0]
+			for _, j := range x.occ[neg] {
+				d := clauses[j]
+				if rest&^x.sig[j] != 0 || x.marked(d) < len(c)-1 {
+					kept = append(kept, j)
 					continue
 				}
-				ds := litSet(d)
-				delete(ds, neg)
-				if containsAll(ds, rest) {
-					// Remove ¬l from d.
-					nd := make(cnf.Clause, 0, len(d)-1)
-					for _, x := range d {
-						if x != neg {
-							nd = append(nd, x)
-						}
+				nd := make(cnf.Clause, 0, len(d)-1)
+				for _, y := range d {
+					if y != neg {
+						nd = append(nd, y)
 					}
-					clauses[j] = nd
-					res.Stats.LiteralsStrength++
-					changed = true
 				}
+				clauses[j], x.sig[j] = nd, signature(nd)
+				res.Stats.LiteralsStrength++
+				changed = true
 			}
+			x.occ[neg] = kept
 		}
 	}
 	return clauses, changed

@@ -143,6 +143,8 @@ var Warnf = func(format string, args ...any) { log.Printf(format, args...) }
 type Store struct {
 	mu    sync.Mutex
 	f     *os.File
+	end   int64     // offset of the last whole record's end: where Put appends
+	w     io.Writer // where Put writes: f, or a test's fault-injecting writer
 	path  string
 	index map[string]Record
 
@@ -161,7 +163,7 @@ func Open(path string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{f: f, path: path, index: make(map[string]Record)}
+	s := &Store{f: f, w: f, path: path, index: make(map[string]Record)}
 	if err := s.load(); err != nil {
 		f.Close()
 		return nil, err
@@ -177,7 +179,8 @@ func (s *Store) load() error {
 		return err
 	}
 	if info.Size() == 0 {
-		_, err := s.f.Write([]byte(magic))
+		n, err := s.f.Write([]byte(magic))
+		s.end = int64(n)
 		return err
 	}
 	hdr := make([]byte, len(magic))
@@ -223,7 +226,7 @@ func (s *Store) load() error {
 			return err
 		}
 	}
-	_, err = s.f.Seek(good, io.SeekStart)
+	s.end, err = s.f.Seek(good, io.SeekStart)
 	return err
 }
 
@@ -253,7 +256,10 @@ func (s *Store) GetTask(task, engine, configKey, fingerprint string) (Record, bo
 // UNKNOWN verdict is rejected with ErrNotDefinitive. A record that
 // fails to frame or write returns the error and counts in
 // Stats.WriteErrors, so best-effort callers that drop the error still
-// leave a trace.
+// leave a trace. A failed or short write is cut back off the file, so
+// the next append starts on a record boundary rather than after a
+// partial frame that would hide it, and every record after it, from
+// the next Open.
 func (s *Store) Put(rec Record) error {
 	if !rec.Result.Status.Definitive() {
 		return ErrNotDefinitive
@@ -269,12 +275,16 @@ func (s *Store) Put(rec Record) error {
 		// One Write per record: the crash-safety argument in the
 		// package comment depends on never splitting a record across
 		// appends.
-		_, err = s.f.Write(framed)
+		if _, err = s.w.Write(framed); err != nil {
+			_, serr := s.f.Seek(s.end, io.SeekStart)
+			err = errors.Join(err, s.f.Truncate(s.end), serr)
+		}
 	}
 	if err != nil {
 		s.writeErrors++
 		return err
 	}
+	s.end += int64(len(framed))
 	s.index[key] = rec
 	s.appends++
 	return nil
@@ -388,12 +398,14 @@ func (s *Store) Compact() error {
 	if err != nil {
 		return err
 	}
-	if _, err := nf.Seek(0, io.SeekEnd); err != nil {
+	end, err := nf.Seek(0, io.SeekEnd)
+	if err != nil {
 		nf.Close()
 		return err
 	}
+	s.end = end
 	s.f.Close()
-	s.f = nf
+	s.f, s.w = nf, nf
 	s.compactions++
 	return nil
 }

@@ -2,7 +2,9 @@ package verdictstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -197,6 +199,62 @@ func TestTornTailTruncation(t *testing.T) {
 		}
 		if _, ok := re.Get(recs[1].Engine, recs[1].ConfigKey, recs[1].Fingerprint); !ok {
 			t.Fatalf("cut at %d: re-appended record unreadable", cut)
+		}
+		re.Close()
+	}
+}
+
+// shortWriter writes the first n bytes of each record to the store's
+// file and then fails, as a full disk does mid-append.
+type shortWriter struct {
+	f *os.File
+	n int
+}
+
+func (w shortWriter) Write(p []byte) (int, error) {
+	k, err := w.f.Write(p[:min(w.n, len(p))])
+	if err == nil {
+		err = io.ErrShortWrite
+	}
+	return k, err
+}
+
+// TestFailedPutLeavesNoPartialFrame pins the recovery of a failed
+// append: the partial frame is cut back off the file, so the records
+// appended after it survive the next Open instead of being dropped with
+// it as a torn tail.
+func TestFailedPutLeavesNoPartialFrame(t *testing.T) {
+	for _, n := range []int{0, 3, 8, 20} {
+		s, path := openTemp(t)
+		if err := s.Put(testRecord(0, solver.StatusSat)); err != nil {
+			t.Fatal(err)
+		}
+		before := fileSize(t, path)
+		s.w = shortWriter{f: s.f, n: n}
+		if err := s.Put(testRecord(1, solver.StatusUnsat)); !errors.Is(err, io.ErrShortWrite) {
+			t.Fatalf("n=%d: failed Put returned %v, want a short write", n, err)
+		}
+		if got := fileSize(t, path); got != before {
+			t.Fatalf("n=%d: file is %d bytes after the failed Put, want %d", n, got, before)
+		}
+		s.w = s.f
+		for _, i := range []int{2, 1} {
+			if err := s.Put(testRecord(i, solver.StatusUnsat)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := s.Stats(); st.WriteErrors != 1 || st.Appends != 3 {
+			t.Fatalf("n=%d: stats %+v, want 1 write error and 3 appends", n, st)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := re.Stats(); st.Loaded != 3 || st.TornBytes != 0 {
+			t.Fatalf("n=%d: reopened with %d records and %d torn bytes, want 3 and 0", n, st.Loaded, st.TornBytes)
 		}
 		re.Close()
 	}
