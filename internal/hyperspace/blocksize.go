@@ -22,15 +22,11 @@ import (
 // CacheBudget), 2 MiB otherwise, and the floor of 16 keeps the
 // per-block dispatch overhead amortized even for huge instances, where
 // the working set spills regardless of k.
-func BlockSize(n, m int) int { return BlockSizeBytes(n, m, 16) }
-
-// BlockSizeBytes is BlockSize for a kernel holding bytesPerCell bytes
-// of block scratch per (source pair, sample) cell. The float evaluator
-// keeps the two float64 source matrices (16 bytes); rtw's integer twin
-// additionally keeps int64 copies of both (32 bytes), so its blocks
-// halve again at the same geometry.
-func BlockSizeBytes(n, m, bytesPerCell int) int {
-	return blockSizeForBudget(n, m, bytesPerCell, CacheBudget())
+//
+// The rtw kernel's block scratch is the same two float64 fill planes,
+// so every sampling engine shares this one rule.
+func BlockSize(n, m int) int {
+	return blockSizeForBudget(n, m, 16, CacheBudget())
 }
 
 // blockSizeForBudget is the selection rule with an explicit budget,

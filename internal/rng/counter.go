@@ -1,5 +1,7 @@
 package rng
 
+import "math"
+
 // The noise stream contract (v2): counter-based stateless generation.
 //
 // Every noise sample is a pure function of its coordinates:
@@ -87,7 +89,10 @@ func FillRTWAt(base, start uint64, dst []float64) {
 }
 
 // fillRTWGo is the portable RTW fill and the conformance oracle for the
-// assembly kernel: the parity bit of the mixed word selects ±1.
+// assembly kernel: the parity bit of the mixed word selects ±1. It is
+// XORed into the sign bit of -1.0, as the assembly kernel does, rather
+// than branched on: the parity is a coin flip no branch predictor can
+// learn.
 func fillRTWGo(base, start uint64, dst []float64) {
 	state := base + (start+1)*golden
 	for s := range dst {
@@ -96,11 +101,7 @@ func fillRTWGo(base, start uint64, dst []float64) {
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		z ^= z >> 31
-		if z&1 == 1 {
-			dst[s] = 1
-		} else {
-			dst[s] = -1
-		}
+		dst[s] = math.Float64frombits(0xBFF0000000000000 ^ (z&1)<<63)
 	}
 }
 

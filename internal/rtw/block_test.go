@@ -2,6 +2,7 @@ package rtw
 
 import (
 	"context"
+	"math/big"
 	"testing"
 
 	"repro/internal/cnf"
@@ -9,31 +10,102 @@ import (
 	"repro/internal/rng"
 )
 
-// TestStepBlockEqualsStep is the integer block-kernel conformance test:
-// StepBlock must reproduce Step's exact int64 values across uneven block
-// sizes and with bindings applied.
-func TestStepBlockEqualsStep(t *testing.T) {
+// blockSamples runs one k-sample block of the production kernel and
+// returns its exact samples, assembled as CheckCtx assembles them: in
+// int64 on narrow engines, through the big.Int accumulator on wide
+// ones.
+func blockSamples(e *Engine, k int) []big.Int {
+	shift := e.shift()
+	b := e.fillBlock(k)
+	out := make([]big.Int, k)
+	for s := range out {
+		t, ok := e.factor(b, k, s)
+		switch {
+		case !ok:
+		case e.wide:
+			e.addWide(t, shift)
+			out[s].Set(&e.wsc.s)
+		default:
+			out[s].SetInt64(e.sample64(t, shift))
+		}
+	}
+	return out
+}
+
+// randomFormula draws n variables and m clauses of 1..3 literals with
+// repeats allowed, so duplicate and complementary literals in one
+// clause are covered too.
+func randomFormula(g *rng.Xoshiro256, n, m int) *cnf.Formula {
+	f := cnf.New(n)
+	for j := 0; j < m; j++ {
+		c := make(cnf.Clause, 1+g.Intn(3))
+		for i := range c {
+			c[i] = cnf.NewLit(cnf.Var(1+g.Intn(n)), g.Bool())
+		}
+		f.AddClause(c)
+	}
+	return f
+}
+
+// randomBinding leaves each variable free, true or false at random.
+func randomBinding(g *rng.Xoshiro256, n int) cnf.Assignment {
+	a := cnf.NewAssignment(n)
+	for v := 1; v <= n; v++ {
+		switch g.Intn(3) {
+		case 1:
+			a.Set(cnf.Var(v), cnf.True)
+		case 2:
+			a.Set(cnf.Var(v), cnf.False)
+		}
+	}
+	return a
+}
+
+// TestBlockKernelMatchesOracle is the block kernel's conformance test:
+// over random geometries, bindings and block sizes, every sample equals
+// the scalar oracle's — Step's int64 on narrow engines, stepWide's
+// big.Int on wide ones, including narrow geometries forced wide so the
+// big.Int assembly sees nonzero samples.
+func TestBlockKernelMatchesOracle(t *testing.T) {
 	g := rng.New(5)
-	for _, f := range []*cnf.Formula{
-		gen.PaperExample6(), gen.PaperSAT(), gen.RandomKSAT(g, 5, 8, 3),
-	} {
-		scalar, err := New(f, 11)
+	sizes := []int{1, 3, 4, 7, 256}
+	var want big.Int
+	for trial := 0; trial < 600; trial++ {
+		var f *cnf.Formula
+		switch {
+		case trial%20 == 0:
+			f = gen.RandomKSAT(g, 5, 10, 3) // wide
+		case trial%20 == 1:
+			f = gen.PaperSAT()
+		default:
+			f = randomFormula(g, 1+g.Intn(6), 1+g.Intn(10))
+		}
+		seed := uint64(100 + trial)
+		kernel, err := New(f, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		block, err := New(f, 11)
+		oracle, err := New(f, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		scalar.Bind(1, cnf.True)
-		block.Bind(1, cnf.True)
-		for _, k := range []int{1, 7, 64, 256, 33} {
-			out := make([]int64, k)
-			block.StepBlock(out)
-			for s := 0; s < k; s++ {
-				if want := scalar.Step(); out[s] != want {
-					t.Fatalf("%s block %d sample %d: StepBlock %d != Step %d",
-						f, k, s, out[s], want)
+		if trial%3 == 2 {
+			kernel.wide, oracle.wide = true, true
+		}
+		a := randomBinding(g, f.NumVars)
+		kernel.BindAll(a)
+		oracle.BindAll(a)
+		for i := 0; i < len(sizes); i++ {
+			k := sizes[(trial+i)%len(sizes)]
+			for s, got := range blockSamples(kernel, k) {
+				if oracle.wide {
+					oracle.stepWide(&want)
+				} else {
+					want.SetInt64(oracle.Step())
+				}
+				if got.Cmp(&want) != 0 {
+					t.Fatalf("trial %d %s (wide=%v, binding %s) block %d sample %d: kernel %s, oracle %s",
+						trial, f, kernel.wide, a, k, s, got.String(), want.String())
 				}
 			}
 		}
@@ -106,5 +178,61 @@ func TestCheckBlockSizeNeverChangesVerdict(t *testing.T) {
 					f, block, got.Satisfiable, got.Samples, want.Satisfiable, want.Samples)
 			}
 		}
+	}
+}
+
+// TestWarmCheckAllocs pins the block scratch reuse: a warm narrow check
+// allocates nothing, and a wide one allocates only its fixed big.Float
+// result assembly, never per sample or per block.
+func TestWarmCheckAllocs(t *testing.T) {
+	ctx := context.Background()
+	narrow, err := New(gen.PaperSAT(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow.Check(10_000, 4)
+	if a := testing.AllocsPerRun(5, func() { narrow.CheckCtx(ctx, 10_000, 4) }); a != 0 {
+		t.Errorf("warm narrow check: %v allocs, want 0", a)
+	}
+
+	wide, err := New(gen.RandomKSAT(rng.New(3), 5, 10, 3), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !wide.Wide() {
+		t.Fatal("(5,10) 3-CNF should be wide")
+	}
+	wide.Check(10_000, 4)
+	short := testing.AllocsPerRun(5, func() { wide.CheckCtx(ctx, 1_000, 4) })
+	long := testing.AllocsPerRun(5, func() { wide.CheckCtx(ctx, 10_000, 4) })
+	if long != short {
+		t.Errorf("warm wide check: %v allocs at 1k samples, %v at 10k; want no per-block allocs", short, long)
+	}
+}
+
+// BenchmarkRTWCheck measures a whole check at a fixed sample budget on
+// a narrow geometry and two wide ones.
+func BenchmarkRTWCheck(b *testing.B) {
+	g := rng.New(9)
+	for _, bc := range []struct {
+		name    string
+		f       *cnf.Formula
+		samples int64
+	}{
+		{"n4m8", gen.RandomKSAT(g, 4, 8, 3), 100_000},
+		{"n5m10", gen.RandomKSAT(g, 5, 10, 3), 100_000},
+		{"uf20-91", gen.RandomKSAT(g, 20, 91, 3), 5_000},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			e, err := New(bc.f, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e.Reset(bc.f)
+				e.Check(bc.samples, 4)
+			}
+		})
 	}
 }

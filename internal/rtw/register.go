@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cnf"
 	"repro/internal/core"
+	"repro/internal/noise"
 	"repro/internal/obs"
 	"repro/internal/solver"
 )
@@ -61,10 +62,11 @@ func (s *rtwSolver) Solve(ctx context.Context, f *cnf.Formula) (solver.Result, e
 	if sp != nil {
 		sp.SetAttr("n", strconv.Itoa(f.NumVars))
 		sp.SetAttr("m", strconv.Itoa(f.NumClauses()))
-		// The telegraph engine runs its own integer-parity kernel: neither
-		// the float fill kernels nor the block evaluator are on its path.
+		// The telegraph engine fills through the bank's RTW kernel and
+		// evaluates with its own sign-parity kernel, not the block
+		// evaluator.
 		sp.SetAttr("eval_accel", "none")
-		sp.SetAttr("fill_accel", "none")
+		sp.SetAttr("fill_accel", fillAccel())
 	}
 	out, err := s.solve(ctx, f)
 	if sp != nil {
@@ -84,6 +86,9 @@ func (s *rtwSolver) Solve(ctx context.Context, f *cnf.Formula) (solver.Result, e
 	}
 	return out, err
 }
+
+// fillAccel names the fill backend of the engine's RTW bank.
+func fillAccel() string { return noise.FillAccelKernel(noise.RTW, noise.StreamV2) }
 
 func (s *rtwSolver) solve(ctx context.Context, f *cnf.Formula) (solver.Result, error) {
 	s.mu.Lock()
@@ -110,8 +115,8 @@ func (s *rtwSolver) solve(ctx context.Context, f *cnf.Formula) (solver.Result, e
 	out := solver.Result{
 		Stats: solver.Stats{
 			Samples: r.Samples, Mean: r.Mean, StdErr: r.StdErr,
-			// The integer-parity kernel bypasses both accelerated paths.
-			FillAccel: "none", EvalAccel: "none",
+			// The sign-parity kernel bypasses the accelerated evaluator.
+			FillAccel: fillAccel(), EvalAccel: "none",
 		},
 	}
 	if err != nil {

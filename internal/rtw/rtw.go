@@ -1,7 +1,12 @@
 // Package rtw implements the Random-Telegraph-Wave variant of NBL-SAT
 // (Section V, reference [17] "instantaneous noise-based logic"): every
 // basis source takes values ±1, so every hyperspace quantity is an
-// integer and the engine evaluates S_N in exact int64 arithmetic.
+// integer and the engine evaluates S_N exactly: one block kernel draws
+// a block of samples per bank call and evaluates each sample in the
+// factored form S_N = t·prod_j c_j·2^shift (wide.go derives it),
+// exiting at the first vanishing factor. Samples are accumulated as
+// int64 where the worst-case |S_N| fits and as exact big.Int moments
+// where it does not.
 //
 // RTW carriers have the best decision statistics of all families — the
 // fourth moment E[X^4] = E[X^2]^2 = 1 minimizes self-correlation
@@ -34,7 +39,7 @@ type Engine struct {
 	// rewinds it to zero.
 	cursor uint64
 
-	// wide selects the arbitrary-precision kernel: the instance's
+	// wide selects the exact big.Int accumulator: the instance's
 	// worst-case |S_N| exceeds int64 (see New and wide.go).
 	wide bool
 
@@ -45,37 +50,28 @@ type Engine struct {
 	// verdict invariance).
 	block int
 
-	posF, negF []float64 // bank fill buffers (±1 as floats)
-	pos, neg   []int64
-	prodP      []int64
-	prodN      []int64
-	pre, suf   []int64
+	blk rtwBlock // block scratch, sized lazily to the largest block
+	c   []int64  // per-clause factors c_j of the sample being assembled
 
-	blk rtwBlock // StepBlock scratch, sized lazily to the largest block
-
-	wsc wideScratch // wide-kernel scratch and exact moment accumulators
+	wsc wideScratch // exact moment accumulators of the wide path
 }
 
-// rtwBlock is the integer block-kernel working set: k samples per
-// source in source-major layout ([(i*m+j)*k+s]), plus blocked
-// per-variable products, prefix/suffix arrays, and accumulators.
+// rtwBlock is the block kernel's working set: one bank fill of k
+// samples per source in source-major layout ([(i*m+j)*k+s]), and the
+// float view of the block's samples for the Welford path.
 type rtwBlock struct {
-	k            int
-	posF, negF   []float64
-	pos, neg     []int64
-	prodP, prodN []int64
-	tau, sig, z  []int64
-	pre, suf     []int64
-	out          []float64 // float view of a block for the Welford path
+	k          int
+	posF, negF []float64
+	out        []float64
 }
 
 // New builds an RTW engine.
 // Instances whose worst-case |S_N| bound (2^n · prod_j(k_j · 2^(n-1)))
-// fits in an int64 get the exact integer block kernel; anything larger
-// — uf20-91 needs ~1900 bits — falls back to the equally exact wide
-// kernel (see wide.go), which factors every sample as
-// sign·(small product)·2^shift and only touches big.Int for the final
-// assembly and the moment accumulators.
+// fits in an int64 accumulate samples as int64 into a float Welford
+// accumulator; anything larger — uf20-91 needs ~1900 bits — keeps exact
+// big.Int moments instead (see wide.go). Both run the same factored
+// block kernel, which only touches big.Int to assemble a nonzero wide
+// sample.
 func New(f *cnf.Formula, seed uint64) (*Engine, error) {
 	n, m := f.NumVars, f.NumClauses()
 	if n < 1 || m < 1 {
@@ -88,24 +84,18 @@ func New(f *cnf.Formula, seed uint64) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	nm := n * m
 	return &Engine{
 		f: f, bank: noise.NewBank(noise.RTW, seed, n, m), seed: seed, n: n, m: m,
 		wide:  bitsNeeded > 62,
 		bound: cnf.NewAssignment(n),
-		// 32 bytes per source cell: the block kernel keeps float64 fill
-		// buffers and their int64 conversions for both polarities.
-		block: hyperspace.BlockSizeBytes(n, m, 32),
-		posF:  make([]float64, nm), negF: make([]float64, nm),
-		pos: make([]int64, nm), neg: make([]int64, nm),
-		prodP: make([]int64, n), prodN: make([]int64, n),
-		pre: make([]int64, n+1), suf: make([]int64, n+1),
+		block: hyperspace.BlockSize(n, m),
+		c:     make([]int64, m),
 	}, nil
 }
 
 // Reset re-targets the engine at a new formula, restoring fresh-engine
 // state: the bank is reseeded to its construction streams, bindings are
-// cleared, and the wide/int64 kernel choice is recomputed from the new
+// cleared, and the wide/int64 accumulator choice is recomputed from the new
 // clause widths (the overflow bound depends on clause sizes, not just
 // (n, m)). A Reset engine is result-identical to New(f, seed) — the
 // warm-path contract the engine lease pool relies on. When the (n, m)
@@ -142,8 +132,8 @@ func (e *Engine) Reset(f *cnf.Formula) error {
 
 // widthBits returns the worst-case |S_N| bit bound for f: the tau
 // bound 2^n plus |Z_j| <= k_j·2^(n-1) per clause. It rejects empty
-// clauses (the kernels assume none). New and Reset share it, so a warm
-// re-target always picks the same int64/wide kernel a cold
+// clauses (the kernel assumes none). New and Reset share it, so a warm
+// re-target always picks the same int64/wide accumulator a cold
 // construction would.
 func widthBits(f *cnf.Formula) (int, error) {
 	n := f.NumVars
@@ -157,9 +147,8 @@ func widthBits(f *cnf.Formula) (int, error) {
 	return bitsNeeded, nil
 }
 
-// Wide reports whether the engine runs the arbitrary-precision kernel
-// (the int64 worst-case bound does not fit). Step/StepBlock are only
-// valid on non-wide engines; Check/CheckCtx/Assign work on both.
+// Wide reports whether the engine accumulates exact big.Int moments
+// (the int64 worst-case bound does not fit) instead of int64 samples.
 func (e *Engine) Wide() bool { return e.wide }
 
 // Bind constrains a variable in tau_N, as in Algorithm 2.
@@ -172,212 +161,121 @@ func (e *Engine) BindAll(a cnf.Assignment) {
 	}
 }
 
-// Step draws one RTW sample vector and returns the exact integer S_N(t).
-// It is only valid on non-wide engines (New guarantees the bound); wide
-// geometries must go through CheckCtx, whose kernel has no overflow.
-func (e *Engine) Step() int64 {
-	if e.wide {
-		panic("rtw: Step would overflow int64 on this geometry; use CheckCtx (wide kernel)")
+// fillBlock draws the next k samples of every source into the block
+// scratch with one bank call and advances the cursor.
+func (e *Engine) fillBlock(k int) *rtwBlock {
+	b := &e.blk
+	nmk := e.n * e.m * k
+	if k > b.k {
+		b.k = k
+		b.posF = make([]float64, nmk)
+		b.negF = make([]float64, nmk)
+		b.out = make([]float64, k)
 	}
-	// k=1 block layout coincides with the scalar [i*m+j] layout.
-	e.bank.FillBlockAt(e.cursor, 1, e.posF, e.negF)
-	e.cursor++
-	for k := range e.posF {
-		e.pos[k] = int64(e.posF[k])
-		e.neg[k] = int64(e.negF[k])
-	}
-	n, m := e.n, e.m
-
-	for i := 0; i < n; i++ {
-		pp, pn := int64(1), int64(1)
-		row := i * m
-		for j := 0; j < m; j++ {
-			pp *= e.pos[row+j]
-			pn *= e.neg[row+j]
-		}
-		e.prodP[i] = pp
-		e.prodN[i] = pn
-	}
-	tau := int64(1)
-	for i := 0; i < n; i++ {
-		switch e.bound[i+1] {
-		case cnf.True:
-			tau *= e.prodP[i]
-		case cnf.False:
-			tau *= e.prodN[i]
-		default:
-			tau *= e.prodP[i] + e.prodN[i]
-		}
-	}
-
-	sigma := int64(1)
-	for j := 0; j < m; j++ {
-		e.pre[0] = 1
-		for k := 0; k < n; k++ {
-			e.pre[k+1] = e.pre[k] * (e.pos[k*m+j] + e.neg[k*m+j])
-		}
-		e.suf[n] = 1
-		for k := n - 1; k >= 0; k-- {
-			e.suf[k] = e.suf[k+1] * (e.pos[k*m+j] + e.neg[k*m+j])
-		}
-		z := int64(0)
-		for _, l := range e.f.Clauses[j] {
-			k := int(l.Var()) - 1
-			lit := e.pos[k*m+j]
-			if l.IsNeg() {
-				lit = e.neg[k*m+j]
-			}
-			z += lit * e.pre[k] * e.suf[k+1]
-		}
-		sigma *= z
-	}
-	return tau * sigma
-}
-
-// StepBlock computes len(out) consecutive exact S_N samples in one
-// bank pass. It performs, per sample, exactly the integer operations of
-// Step in the same order over the same streams, so a StepBlock equals
-// len(out) Steps value for value (asserted by the conformance tests);
-// the bank dispatch, binding switch, and scratch setup are amortized
-// over the block.
-func (e *Engine) StepBlock(out []int64) {
-	if e.wide {
-		panic("rtw: StepBlock would overflow int64 on this geometry; use CheckCtx (wide kernel)")
-	}
-	k := len(out)
-	if k == 0 {
-		return
-	}
-	n, m := e.n, e.m
-	b := e.ensureBlock(k)
-	nmk := n * m * k
 	e.bank.FillBlockAt(e.cursor, k, b.posF[:nmk], b.negF[:nmk])
 	e.cursor += uint64(k)
-	for i := 0; i < nmk; i++ {
-		b.pos[i] = int64(b.posF[i])
-		b.neg[i] = int64(b.negF[i])
-	}
-
-	for i := 0; i < n; i++ {
-		pp := b.prodP[i*k : i*k+k]
-		pn := b.prodN[i*k : i*k+k]
-		for s := 0; s < k; s++ {
-			pp[s], pn[s] = 1, 1
-		}
-		for j := 0; j < m; j++ {
-			o := (i*m + j) * k
-			ps := b.pos[o : o+k]
-			ns := b.neg[o : o+k]
-			for s := 0; s < k; s++ {
-				pp[s] *= ps[s]
-				pn[s] *= ns[s]
-			}
-		}
-	}
-
-	tau := b.tau[:k]
-	for s := 0; s < k; s++ {
-		tau[s] = 1
-	}
-	for i := 0; i < n; i++ {
-		pp := b.prodP[i*k : i*k+k]
-		pn := b.prodN[i*k : i*k+k]
-		switch e.bound[i+1] {
-		case cnf.True:
-			for s := 0; s < k; s++ {
-				tau[s] *= pp[s]
-			}
-		case cnf.False:
-			for s := 0; s < k; s++ {
-				tau[s] *= pn[s]
-			}
-		default:
-			for s := 0; s < k; s++ {
-				tau[s] *= pp[s] + pn[s]
-			}
-		}
-	}
-
-	sig := b.sig[:k]
-	for s := 0; s < k; s++ {
-		sig[s] = 1
-	}
-	for j := 0; j < m; j++ {
-		pre, suf := b.pre, b.suf
-		for s := 0; s < k; s++ {
-			pre[s] = 1
-		}
-		for v := 0; v < n; v++ {
-			o := (v*m + j) * k
-			ps := b.pos[o : o+k]
-			ns := b.neg[o : o+k]
-			prev := pre[v*k : v*k+k]
-			next := pre[(v+1)*k : (v+1)*k+k]
-			for s := 0; s < k; s++ {
-				next[s] = prev[s] * (ps[s] + ns[s])
-			}
-		}
-		for s := 0; s < k; s++ {
-			suf[n*k+s] = 1
-		}
-		for v := n - 1; v >= 0; v-- {
-			o := (v*m + j) * k
-			ps := b.pos[o : o+k]
-			ns := b.neg[o : o+k]
-			prev := suf[(v+1)*k : (v+1)*k+k]
-			next := suf[v*k : v*k+k]
-			for s := 0; s < k; s++ {
-				next[s] = prev[s] * (ps[s] + ns[s])
-			}
-		}
-		z := b.z[:k]
-		for s := 0; s < k; s++ {
-			z[s] = 0
-		}
-		for _, l := range e.f.Clauses[j] {
-			v := int(l.Var()) - 1
-			o := (v*m + j) * k
-			lits := b.pos[o : o+k]
-			if l.IsNeg() {
-				lits = b.neg[o : o+k]
-			}
-			pr := pre[v*k : v*k+k]
-			sf := suf[(v+1)*k : (v+1)*k+k]
-			for s := 0; s < k; s++ {
-				z[s] += lits[s] * pr[s] * sf[s]
-			}
-		}
-		for s := 0; s < k; s++ {
-			sig[s] *= z[s]
-		}
-	}
-
-	for s := 0; s < k; s++ {
-		out[s] = tau[s] * sig[s]
-	}
+	return b
 }
 
-// ensureBlock sizes the block scratch for blocks of up to k samples.
-func (e *Engine) ensureBlock(k int) *rtwBlock {
-	b := &e.blk
-	if k <= b.k {
-		return b
+// signBit is 1 for the -1.0 and 0 for the +1.0 an RTW source takes.
+func signBit(x float64) uint64 { return math.Float64bits(x) >> 63 }
+
+// factor evaluates sample s of a block filled at size k in the
+// factored form S_N = t · prod_j c_j · 2^shift (see wide.go). It
+// returns ok=false as soon as a factor vanishes, which is the common
+// case; otherwise it returns t ∈ {±1} and leaves the c_j in e.c.
+// Clauses go first because a clause costs about 2n loads and vanishes
+// with probability 1-(n+1)/2^n, while a free variable's branch sum
+// costs 2m loads and vanishes with probability 1/2.
+func (e *Engine) factor(b *rtwBlock, k, s int) (t int64, ok bool) {
+	n, m := e.n, e.m
+	pos, neg := b.posF, b.negF
+	stride := m * k // distance between variables at a fixed clause
+	for j, cl := range e.f.Clauses {
+		// g_v = pos+neg is 0 when the signs differ, else ±2 with their
+		// common sign. Count the zeros and fold the nonzero signs.
+		zeros, zi := 0, -1
+		par := uint64(0) // parity of the negative nonzero g_v
+		for v, o := 0, j*k+s; v < n; v, o = v+1, o+stride {
+			sp, sn := signBit(pos[o]), signBit(neg[o])
+			if sp != sn {
+				if zeros++; zeros == 2 {
+					return 0, false
+				}
+				zi = v
+			} else {
+				par ^= sp
+			}
+		}
+		// c_j = Σ_l lit_l · sgn(prod_{v≠v(l)} g_v): with one zero factor
+		// only the literal sitting on it survives; with none the
+		// leave-one-out sign is par with g_v(l) divided back out.
+		c := int64(0)
+		for _, l := range cl {
+			v := int(l.Var()) - 1
+			o := v*stride + j*k + s
+			sp := signBit(pos[o])
+			lit := sp
+			if l.IsNeg() {
+				lit = signBit(neg[o])
+			}
+			switch {
+			case zeros == 0:
+				c += 1 - 2*int64(lit^par^sp)
+			case v == zi:
+				c += 1 - 2*int64(lit^par)
+			}
+		}
+		if c == 0 {
+			return 0, false
+		}
+		e.c[j] = c
 	}
-	nm := e.n * e.m
-	b.k = k
-	b.posF = make([]float64, nm*k)
-	b.negF = make([]float64, nm*k)
-	b.pos = make([]int64, nm*k)
-	b.neg = make([]int64, nm*k)
-	b.prodP = make([]int64, e.n*k)
-	b.prodN = make([]int64, e.n*k)
-	b.tau = make([]int64, k)
-	b.sig = make([]int64, k)
-	b.z = make([]int64, k)
-	b.pre = make([]int64, (e.n+1)*k)
-	b.suf = make([]int64, (e.n+1)*k)
-	b.out = make([]float64, k)
-	return b
+	// tau_N: a variable's branch product is the parity of its m signs;
+	// a bound variable contributes its branch's sign, a free one the
+	// branch sum, which vanishes unless both parities agree.
+	par := uint64(0)
+	for i := 0; i < n; i++ {
+		var pp, pn uint64
+		for o := i*stride + s; o < (i+1)*stride; o += k {
+			pp ^= signBit(pos[o])
+			pn ^= signBit(neg[o])
+		}
+		switch e.bound[i+1] {
+		case cnf.True:
+			par ^= pp
+		case cnf.False:
+			par ^= pn
+		default:
+			if pp != pn {
+				return 0, false
+			}
+			par ^= pp
+		}
+	}
+	return 1 - 2*int64(par), true
+}
+
+// sample64 assembles a nonzero narrow sample t · prod_j e.c[j] · 2^shift;
+// widthBits guarantees it fits.
+func (e *Engine) sample64(t int64, shift uint) int64 {
+	for _, c := range e.c {
+		t *= c
+	}
+	return t << shift
+}
+
+// shift is the power of two every nonzero sample carries under the
+// current bindings: 2 per free variable's branch sum and 2^(n-1) per
+// clause.
+func (e *Engine) shift() uint {
+	u := 0
+	for v := 1; v <= e.n; v++ {
+		if e.bound[v] == cnf.Unassigned {
+			u++
+		}
+	}
+	return uint(u + e.m*(e.n-1))
 }
 
 // Result reports an RTW check.
@@ -396,33 +294,51 @@ func (e *Engine) Check(samples int64, theta float64) Result {
 }
 
 // CheckCtx is Check with cancellation: the sampling loop advances in
-// blocks of the cache-aware e.block size through the integer block
+// blocks of the cache-aware e.block size through the factored block
 // kernel, polls ctx at every block boundary, and returns the partial
 // Result with ctx.Err() when the context ends. The per-source streams
 // are identical for any block size, so the batch size never changes
-// the verdict. Wide geometries (int64 bound exceeded) take the
-// arbitrary-precision kernel instead, same contract.
+// the verdict. Narrow geometries accumulate the exact int64 samples in
+// a Welford accumulator; wide ones (int64 bound exceeded) keep exact
+// big.Int moments, same contract.
 func (e *Engine) CheckCtx(ctx context.Context, samples int64, theta float64) (Result, error) {
-	if e.wide {
-		return e.checkWide(ctx, samples, theta)
-	}
+	shift := e.shift()
 	var w stats.Welford
-	ints := make([]int64, e.block)
-	b := e.ensureBlock(e.block)
-	for i := int64(0); i < samples; {
+	ws := &e.wsc
+	ws.sum.SetInt64(0)
+	ws.sum2.SetInt64(0)
+	count := int64(0)
+	for count < samples {
 		if err := ctx.Err(); err != nil {
+			if e.wide {
+				r := e.wideResult(&ws.sum, &ws.sum2, count, theta)
+				r.Satisfiable = false // partial run: no verdict
+				return r, err
+			}
 			return Result{Mean: w.Mean(), StdErr: w.StdErr(), Samples: w.Count()}, err
 		}
-		k := int64(len(ints))
-		if rem := samples - i; rem < k {
-			k = rem
+		k := int(min(int64(e.block), samples-count))
+		b := e.fillBlock(k)
+		if e.wide {
+			for s := 0; s < k; s++ {
+				if t, ok := e.factor(b, k, s); ok {
+					e.addWide(t, shift)
+				}
+			}
+		} else {
+			out := b.out[:k]
+			for s := range out {
+				out[s] = 0
+				if t, ok := e.factor(b, k, s); ok {
+					out[s] = float64(e.sample64(t, shift))
+				}
+			}
+			w.AddN(out)
 		}
-		e.StepBlock(ints[:k])
-		for s := int64(0); s < k; s++ {
-			b.out[s] = float64(ints[s])
-		}
-		w.AddN(b.out[:k])
-		i += k
+		count += int64(k)
+	}
+	if e.wide {
+		return e.wideResult(&ws.sum, &ws.sum2, count, theta), nil
 	}
 	se := w.StdErr()
 	sat := false

@@ -1,13 +1,16 @@
 package rtw
 
 import (
+	"context"
 	"math"
+	"math/big"
 	"testing"
 
 	"repro/internal/cnf"
 	"repro/internal/gen"
 	"repro/internal/hyperspace"
 	"repro/internal/noise"
+	"repro/internal/solver"
 )
 
 func TestStepMatchesHyperspaceEvaluator(t *testing.T) {
@@ -92,11 +95,10 @@ func TestSamplesAreIntegers(t *testing.T) {
 	}
 	// All samples are integers by construction (int64 return); verify
 	// they stay within the declared bound 2^n·prod(k_j·2^(n-1)).
-	bound := int64(4) * 2 * 2 * 2 * 2 * 16 // loose: 2^2 · (2·2^1)^4
-	for i := 0; i < 1000; i++ {
-		s := e.Step()
-		if s > bound || s < -bound {
-			t.Fatalf("sample %d exceeds bound %d", s, bound)
+	bound := big.NewInt(int64(4) * 2 * 2 * 2 * 2 * 16) // loose: 2^2 · (2·2^1)^4
+	for _, s := range blockSamples(e, 1000) {
+		if s.CmpAbs(bound) > 0 {
+			t.Fatalf("sample %s exceeds bound %s", s.String(), bound)
 		}
 	}
 }
@@ -137,14 +139,23 @@ func TestZeroVarianceUnsatStaysUnsat(t *testing.T) {
 	}
 }
 
-func BenchmarkRTWStep(b *testing.B) {
-	e, err := New(gen.PaperSAT(), 1)
+// TestSolverReportsAccel pins the registry adapter's provenance: the
+// fill runs through the bank's RTW kernel (AVX2 under nblavx2), the
+// evaluation through the engine's own kernel, never the block
+// evaluator.
+func TestSolverReportsAccel(t *testing.T) {
+	s, err := solver.New("rtw", solver.WithMaxSamples(1_000))
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		sink += e.Step()
+	res, err := s.Solve(context.Background(), gen.PaperSAT())
+	if err != nil {
+		t.Fatal(err)
 	}
-	_ = sink
+	if want := noise.FillAccelKernel(noise.RTW, noise.StreamV2); res.Stats.FillAccel != want {
+		t.Errorf("fill_accel %q, want %q", res.Stats.FillAccel, want)
+	}
+	if res.Stats.EvalAccel != "none" {
+		t.Errorf("eval_accel %q, want none", res.Stats.EvalAccel)
+	}
 }

@@ -1,20 +1,10 @@
 package rtw
 
-import (
-	"context"
-	"math/big"
+import "math/big"
 
-	"repro/internal/cnf"
-)
-
-// The wide kernel: exact RTW evaluation for instances whose worst-case
-// |S_N| bound exceeds int64 (uf20-91 needs ~1900 bits). The int64
-// kernel's hard rejection used to lock SATLIB-scale instances out of
-// the telegraph-wave engine entirely; the wide kernel removes the
-// ceiling while staying exact.
-//
-// The trick is that with ±1 sources almost nothing is actually big.
-// Every per-clause disjunction factors as
+// The factored kernel and the wide accumulator. With ±1 sources almost
+// nothing in S_N is actually big. Every per-clause disjunction factors
+// as
 //
 //	Z_j = c_j · 2^(n-1),  c_j = Σ_l lit_l · sgn(prod_{k≠v(l)} g_k),
 //
@@ -25,149 +15,40 @@ import (
 //
 //	S_N = t · (prod_j c_j) · 2^(u + m·(n-1))
 //
-// with t ∈ {±1}, u = number of free variables with a nonzero branch
-// sum, and every c_j a clause-width-bounded int64. The only big.Int
-// operations are the c-product (m small multiplications), one left
-// shift, and the two moment accumulators. Better still, a sample is
-// exactly zero as soon as any tau factor or any c_j vanishes — for
-// large n·m that is almost every sample (a clause survives only when
-// at most one of its n variable factors is zero, probability
-// ≈ (n+1)/2^n), so the expensive assembly is rare and the kernel's
-// cost is dominated by drawing the 2·n·m source samples.
+// with t ∈ {±1}, u = number of free variables, and every c_j a
+// clause-width-bounded int64. A sample is exactly zero as soon as any
+// free variable's branch sum or any c_j vanishes; for large n·m that is
+// almost every sample (a clause survives only when at most one of its n
+// variable factors is zero, probability ≈ (n+1)/2^n), so the block
+// kernel (Engine.factor) exits early and its cost is dominated by
+// drawing the 2·n·m source samples.
 //
-// The decision statistic is computed from the exact big.Int moments in
-// big.Float (mean, standard error, and the theta comparison), so the
-// verdict never suffers float64 overflow even though the reported
-// Result folds the mean down to a float64 at the end.
+// Narrow geometries assemble t·prod_j c_j << shift in int64. Wide ones
+// (uf20-91 needs ~1900 bits) assemble the rare nonzero sample in
+// big.Int and add it to exact Σ S and Σ S² accumulators; the decision
+// statistic is computed from those moments in big.Float (mean,
+// standard error, and the theta comparison), so the verdict never
+// suffers float64 overflow even though the reported Result folds the
+// mean down to a float64 at the end.
 
-// wideScratch holds the wide kernel's per-engine state.
+// wideScratch holds the wide accumulator's per-engine state.
 type wideScratch struct {
 	s, sq, c  big.Int // current sample, its square, small-int multiplier
 	sum, sum2 big.Int // exact Σ S and Σ S²
 }
 
-// stepWide computes one exact S_N into dst. It consumes the bank
-// streams exactly like Step (one sample at the cursor), so the wide
-// and int64 kernels see identical noise when both are applicable.
-func (e *Engine) stepWide(dst *big.Int) {
-	e.bank.FillBlockAt(e.cursor, 1, e.posF, e.negF)
-	e.cursor++
-	for k := range e.posF {
-		e.pos[k] = int64(e.posF[k])
-		e.neg[k] = int64(e.negF[k])
-	}
-	n, m := e.n, e.m
-
-	// tau_N: per-variable branch products are ±1; a bound variable
-	// contributes its branch sign, a free one the branch sum ∈ {-2,0,2}.
-	t := int64(1)
-	shift := uint(0)
-	for i := 0; i < n; i++ {
-		pp, pn := int64(1), int64(1)
-		row := i * m
-		for j := 0; j < m; j++ {
-			pp *= e.pos[row+j]
-			pn *= e.neg[row+j]
-		}
-		switch e.bound[i+1] {
-		case cnf.True:
-			t *= pp
-		case cnf.False:
-			t *= pn
-		default:
-			s := pp + pn
-			if s == 0 {
-				dst.SetInt64(0)
-				return
-			}
-			if s < 0 {
-				t = -t
-			}
-			shift++
-		}
-	}
-
-	// Sigma_N: per clause, locate the zero variable factors and fold the
-	// nonzero signs; assemble c_j.
+// addWide assembles the nonzero sample t · prod_j e.c[j] · 2^shift and
+// adds it to the exact moments.
+func (e *Engine) addWide(t int64, shift uint) {
 	w := &e.wsc
-	dst.SetInt64(t)
-	for j := 0; j < m; j++ {
-		zeros, zi := 0, -1
-		sgnAll := int64(1) // product of signs of the nonzero g_k
-		for k := 0; k < n; k++ {
-			g := e.pos[k*m+j] + e.neg[k*m+j]
-			if g == 0 {
-				zeros++
-				if zeros >= 2 {
-					break
-				}
-				zi = k
-			} else if g < 0 {
-				sgnAll = -sgnAll
-			}
-		}
-		if zeros >= 2 {
-			dst.SetInt64(0)
-			return
-		}
-		c := int64(0)
-		for _, l := range e.f.Clauses[j] {
-			k := int(l.Var()) - 1
-			lit := e.pos[k*m+j]
-			if l.IsNeg() {
-				lit = e.neg[k*m+j]
-			}
-			if zeros == 1 {
-				// Only the literal sitting on the zero factor survives:
-				// every other leave-one-out product contains g_zi = 0.
-				if k == zi {
-					c += lit * sgnAll
-				}
-			} else {
-				// sgn(prod_{k'≠k} g_k') = sgnAll · sgn(g_k).
-				s := sgnAll
-				if e.pos[k*m+j]+e.neg[k*m+j] < 0 {
-					s = -s
-				}
-				c += lit * s
-			}
-		}
-		if c == 0 {
-			dst.SetInt64(0)
-			return
-		}
-		dst.Mul(dst, w.c.SetInt64(c))
-		shift += uint(n - 1)
+	w.s.SetInt64(t)
+	for _, c := range e.c {
+		w.s.Mul(&w.s, w.c.SetInt64(c))
 	}
-	dst.Lsh(dst, shift)
-}
-
-// checkWide is CheckCtx for wide geometries: exact big.Int first and
-// second moments, the same theta·stderr decision rule, cancellation
-// polled on a fixed cadence.
-func (e *Engine) checkWide(ctx context.Context, samples int64, theta float64) (Result, error) {
-	w := &e.wsc
-	w.sum.SetInt64(0)
-	w.sum2.SetInt64(0)
-	count := int64(0)
-	const pollEvery = 1024
-	for count < samples {
-		if count%pollEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				r := e.wideResult(&w.sum, &w.sum2, count, theta)
-				r.Satisfiable = false // partial run: no verdict
-				return r, err
-			}
-		}
-		e.stepWide(&w.s)
-		if w.s.Sign() != 0 {
-			w.sum.Add(&w.sum, &w.s)
-			w.sq.Mul(&w.s, &w.s)
-			w.sum2.Add(&w.sum2, &w.sq)
-		}
-		count++
-	}
-	return e.wideResult(&w.sum, &w.sum2, count, theta), nil
+	w.s.Lsh(&w.s, shift)
+	w.sum.Add(&w.sum, &w.s)
+	w.sq.Mul(&w.s, &w.s)
+	w.sum2.Add(&w.sum2, &w.sq)
 }
 
 // wideResult turns the exact moments into the decision and a Result.

@@ -15,7 +15,7 @@ import (
 )
 
 // forceWide returns two engines over the same formula and seed: one on
-// the int64 kernel, one forced onto the wide kernel. Both draw from
+// the int64 path, one forced onto the wide big.Int path. Both draw from
 // identically seeded banks, so their sample streams correspond 1:1.
 func forceWide(t *testing.T, f *cnf.Formula, seed uint64) (exact, wide *Engine) {
 	t.Helper()
@@ -35,8 +35,9 @@ func forceWide(t *testing.T, f *cnf.Formula, seed uint64) (exact, wide *Engine) 
 }
 
 // TestWideKernelMatchesInt64Kernel is the parity proof: on geometries
-// where both kernels are valid, stepWide must produce exactly the
-// integers Step produces, sample for sample, bindings included.
+// where both assemblies are valid, the kernel's big.Int assembly must
+// produce exactly the integers the int64 oracle Step produces, sample
+// for sample, bindings included.
 func TestWideKernelMatchesInt64Kernel(t *testing.T) {
 	formulas := []*cnf.Formula{
 		gen.PaperSAT(),
@@ -45,7 +46,6 @@ func TestWideKernelMatchesInt64Kernel(t *testing.T) {
 		cnf.FromClauses([]int{1}, []int{-1}),
 		cnf.FromClauses([]int{1, 2, 3}, []int{-2, 3}, []int{1, -3}, []int{-1, 2}),
 	}
-	var got big.Int
 	for fi, f := range formulas {
 		exact, wide := forceWide(t, f, uint64(40+fi))
 		bindings := []cnf.Assignment{
@@ -59,12 +59,13 @@ func TestWideKernelMatchesInt64Kernel(t *testing.T) {
 		for bi, b := range bindings {
 			exact.BindAll(b)
 			wide.BindAll(b)
-			for s := 0; s < 500; s++ {
-				want := exact.Step()
-				wide.stepWide(&got)
-				if !got.IsInt64() || got.Int64() != want {
-					t.Fatalf("formula %d binding %d sample %d: wide %s vs exact %d",
-						fi, bi, s, got.String(), want)
+			for blk := 0; blk < 5; blk++ {
+				for s, got := range blockSamples(wide, 100) {
+					want := exact.Step()
+					if !got.IsInt64() || got.Int64() != want {
+						t.Fatalf("formula %d binding %d block %d sample %d: wide %s vs exact %d",
+							fi, bi, blk, s, got.String(), want)
+					}
 				}
 			}
 		}
@@ -142,20 +143,47 @@ func TestWideKernelOpensSATLIBScale(t *testing.T) {
 	}
 }
 
+// TestWideGuardsInt64Kernels pins that a wide engine never takes the
+// int64/Welford path: its Result must be exactly the one the exact
+// big.Int moments of the oracle's samples give, down to the last bit
+// of the mean, on a genuinely wide formula with nonzero samples
+// (n=1, so no clause factor vanishes except the tautologies').
 func TestWideGuardsInt64Kernels(t *testing.T) {
-	f := gen.PaperSAT()
-	_, wide := forceWide(t, f, 1)
-	for name, fn := range map[string]func(){
-		"Step":      func() { wide.Step() },
-		"StepBlock": func() { wide.StepBlock(make([]int64, 4)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on a wide engine must panic, not overflow silently", name)
-				}
-			}()
-			fn()
-		}()
+	f := cnf.New(1)
+	for j := 0; j < 70; j++ {
+		if j%10 == 0 {
+			f.Add(1, -1)
+		} else {
+			f.Add(1)
+		}
+	}
+	kernel, err := New(f, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !kernel.Wide() {
+		t.Fatal("70 clauses on one variable should be wide")
+	}
+	oracle, err := New(f, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const samples = 5_000
+	var s, sum, sum2 big.Int
+	nonzero := 0
+	for i := 0; i < samples; i++ {
+		oracle.stepWide(&s)
+		if s.Sign() != 0 {
+			nonzero++
+		}
+		sum.Add(&sum, &s)
+		sum2.Add(&sum2, s.Mul(&s, &s))
+	}
+	if nonzero == 0 {
+		t.Fatal("test instance drew no nonzero samples")
+	}
+	want := oracle.wideResult(&sum, &sum2, samples, 4)
+	if got := kernel.Check(samples, 4); got != want {
+		t.Fatalf("wide check %+v, exact moments give %+v", got, want)
 	}
 }

@@ -172,7 +172,9 @@ type Job struct {
 	cfg   solver.Config
 
 	// trace/root/queueSpan are written once at submit and only read
-	// afterwards; span mutation locks the trace itself.
+	// afterwards by the goroutine that owns the job's current stage;
+	// span mutation locks the trace itself. release clears them (and
+	// ctx/cancel) under mu once the trace is in the ring.
 	trace     *obs.Trace
 	root      *obs.Span
 	queueSpan *obs.Span
@@ -321,7 +323,6 @@ func (s *Server) Submit(f *cnf.Formula, opts SubmitOptions) (*Job, error) {
 		job.finished = now
 		job.result = res
 		job.cacheHit = true
-		job.release()
 		close(job.done)
 		s.mu.Lock()
 		if !s.accepting {
@@ -395,7 +396,6 @@ func (s *Server) reapQueued(j *Job) {
 	j.finished = time.Now()
 	j.mu.Unlock()
 	j.queueSpan.Finish()
-	j.release()
 	s.completeTrace(j, string(StateCancelled), "")
 	s.met.jobFinished(string(StateCancelled), j.Engine, j.Task, 0, 0)
 	close(j.done)
@@ -589,7 +589,6 @@ func (s *Server) finish(job *Job, res solver.Result, err error) {
 	if state == StateDone && job.canon != nil {
 		s.cache.put(job.Task, job.Engine, job.cfg.Key(), job.canon, res)
 	}
-	job.release()
 	s.completeTrace(job, string(state), res.Status.String())
 	s.met.jobFinished(string(state), job.Engine, job.Task, res.Stats.Samples, res.Wall)
 	close(job.done)
@@ -598,7 +597,8 @@ func (s *Server) finish(job *Job, res solver.Result, err error) {
 // completeTrace closes a job's root span, lands the trace in the
 // ring, feeds the stage histograms from it, and — for jobs at or over
 // the -trace-slow threshold — logs the full span tree while it is
-// guaranteed to still exist.
+// guaranteed to still exist. It then releases the job: from here on
+// the ring is the only holder of the span tree.
 func (s *Server) completeTrace(job *Job, state, status string) {
 	job.root.SetAttr("state", state)
 	if status != "" {
@@ -619,6 +619,7 @@ func (s *Server) completeTrace(job *Job, state, status string) {
 			log.Print(buf.String())
 		}
 	}
+	job.release()
 }
 
 // Trace returns the completed span tree for a job, or nil when the
@@ -637,13 +638,18 @@ func (s *Server) RecentTraces(n int) []*obs.TraceJSON {
 	return out
 }
 
-// release drops the references a terminal job no longer needs. The
+// release drops the references a terminal job no longer needs: its
+// formula, its canonical form, its span tree and its context. The
 // retention table is bounded in jobs, not bytes; without this a stream
-// of large submissions would pin up to MaxJobs parsed formulas.
+// of large submissions would pin up to MaxJobs parsed formulas, and
+// every retained job would pin its span tree outside the bounded
+// trace ring.
 func (j *Job) release() {
 	j.mu.Lock()
 	j.f = nil
 	j.canon = nil
+	j.trace, j.root, j.queueSpan = nil, nil, nil
+	j.ctx, j.cancel = nil, nil
 	j.mu.Unlock()
 }
 

@@ -169,3 +169,31 @@ func TestTraceSharesSubmittedTraceID(t *testing.T) {
 		t.Errorf("trace ID %q, want the submitted feedface01020304", tr.TraceID)
 	}
 }
+
+// TestFinishedJobReleasesTrace: once a job's trace is in the ring, the
+// retained job holds neither its span tree nor its context — the ring
+// bounds trace memory, not the MaxJobs job table — and Trace still
+// serves the tree from the ring, for a solved job and a cache hit.
+func TestFinishedJobReleasesTrace(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, DefaultEngine: "svc-echo"})
+	for _, name := range []string{"solved", "cache-hit"} {
+		j, err := s.Submit(testFormula(), SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j)
+		j.mu.Lock()
+		held := j.trace != nil || j.root != nil || j.queueSpan != nil || j.ctx != nil || j.cancel != nil
+		hit := j.cacheHit
+		j.mu.Unlock()
+		if held {
+			t.Errorf("%s job %s still holds its trace or context", name, j.ID)
+		}
+		if hit != (name == "cache-hit") {
+			t.Errorf("%s job %s: cache hit = %v", name, j.ID, hit)
+		}
+		if tr := s.Trace(j.ID); tr == nil || tr.Find("job") == nil {
+			t.Errorf("%s job %s: trace not served from the ring", name, j.ID)
+		}
+	}
+}
