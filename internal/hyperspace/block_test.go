@@ -163,8 +163,8 @@ func TestSeekRewindsStream(t *testing.T) {
 // portable tail of every residue) and stream bases that are not
 // multiples of the vector width (so lanes straddle the counter
 // arbitrarily). The scalar Step path never touches the row primitives,
-// so under -tags nblavx2 this pins AVX2-vs-scalar exactly; untagged it
-// pins block-vs-scalar.
+// so on an AVX2 amd64 host this pins AVX2-vs-scalar exactly; elsewhere
+// it pins portable-block-vs-scalar.
 func TestStepBlockAtOddGeometry(t *testing.T) {
 	g := rng.New(31)
 	f := gen.RandomKSAT(g, 5, 11, 3)

@@ -31,9 +31,11 @@ func BlockSize(n, m int) int {
 
 // blockSizeForBudget is the selection rule with an explicit budget,
 // split out so tests can pin the measured regimes machine-independently.
+// The working set is computed in int64: on 32-bit platforms
+// 16·n·m·k overflows int already at n·m ≈ 5·10^5.
 func blockSizeForBudget(n, m, bytesPerCell, budget int) int {
 	k := 256
-	for k > 16 && bytesPerCell*n*m*k > budget {
+	for k > 16 && int64(bytesPerCell)*int64(n)*int64(m)*int64(k) > int64(budget) {
 		k >>= 1
 	}
 	return k

@@ -1,11 +1,12 @@
-//go:build !nblavx2 || !amd64
+//go:build !amd64
 
 package hyperspace
 
-// Portable build: every row primitive is the pure-Go loop. This path is
-// also the conformance oracle the AVX2 build is pinned against — the
-// block property tests compare StepBlockAt to per-sample Step, and Step
-// runs the scalar kernel on every build.
+// Other GOARCHes: every row primitive is the pure-Go loop. The same
+// loops are the conformance oracle the amd64 AVX2 path is pinned
+// against — the block property tests compare StepBlockAt to per-sample
+// Step, Step runs the scalar kernel on every build, and the row-kernel
+// tests compare each vec* primitive with its *Go loop directly.
 
 func vecMulTo(dst, a, b []float64)      { mulToGo(dst, a, b) }
 func vecMulPair(dst, a, b []float64)    { mulPairGo(dst, a, b) }

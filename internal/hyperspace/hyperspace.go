@@ -329,11 +329,11 @@ func (e *Evaluator) StepBlockAt(base uint64, out []float64) {
 }
 
 // EvalAccelName reports the StepBlockAt row-kernel backend active in
-// this build: "avx2" when the nblavx2 build tag is set on amd64 and the
-// CPU supports it (same gate as the rng fill kernels), "none" for the
-// portable loops. Solver stats and bench reports echo it so a recorded
-// result names the kernel that produced it — the two backends are
-// bit-identical, so the name is provenance, not a caveat.
+// this process: "avx2" on amd64 when the CPU supports it (same gate as
+// the rng fill kernels), "none" for the portable loops. Solver stats
+// and bench reports echo it so a recorded result names the kernel that
+// produced it — the two backends are bit-identical, so the name is
+// provenance, not a caveat.
 func EvalAccelName() string { return evalAccelName() }
 
 // ensureBlock sizes the block scratch for blocks of k samples.

@@ -95,7 +95,7 @@ func (b *Bank) FillBlockAt(base uint64, k int, pos, neg []float64) {
 	switch b.family {
 	case UniformHalf, UniformUnit:
 		// The hot path: each source is one bulk counter fill, which the
-		// rng package data-parallelizes (AVX2 under -tags nblavx2).
+		// rng package data-parallelizes (AVX2 on amd64).
 		lo, span := b.lo, b.span
 		for src := 0; src < nm; src++ {
 			o := src * k
@@ -113,16 +113,16 @@ func (b *Bank) FillBlockAt(base uint64, k int, pos, neg []float64) {
 			}
 		}
 	case RTW:
-		// Bulk sign-map fill, one word per sample (AVX2 under -tags
-		// nblavx2); bit-identical to the per-sample rtwAt by contract.
+		// Bulk sign-map fill, one word per sample (AVX2 on amd64);
+		// bit-identical to the per-sample rtwAt by contract.
 		for src := 0; src < nm; src++ {
 			o := src * k
 			rng.FillRTWAt(b.bases[2*src], base, pos[o:o+k])
 			rng.FillRTWAt(b.bases[2*src+1], base, neg[o:o+k])
 		}
 	case Pulse:
-		// Bulk threshold-map fill, one word per sample (AVX2 under -tags
-		// nblavx2); bit-identical to the per-sample pulseAt by contract.
+		// Bulk threshold-map fill, one word per sample (AVX2 on amd64);
+		// bit-identical to the per-sample pulseAt by contract.
 		for src := 0; src < nm; src++ {
 			o := src * k
 			rng.FillPulseAt(b.bases[2*src], base, pos[o:o+k], pulseDensity, pulseAmp)

@@ -20,7 +20,7 @@ import "math"
 //
 // Because every sample is independent, bulk fills are embarrassingly
 // data-parallel: FillUniformAt below is the scalar contract, with an
-// optional AVX2 kernel (build tag nblavx2, amd64) that is pinned
+// AVX2 kernel (amd64, taken when the CPU supports it) that is pinned
 // bit-identical to the pure-Go loop — the Go path is the conformance
 // oracle, not the other way around.
 
@@ -143,18 +143,18 @@ func fillPulseGo(base, start uint64, dst []float64, density, amp float64) {
 }
 
 // FillAccelName reports which accelerated fill kernel the bulk fills
-// (FillUniformAt, FillRTWAt, FillPulseAt) dispatch to: "avx2" when the
-// nblavx2 build tag is on and the CPU supports it, "none" otherwise.
+// (FillUniformAt, FillRTWAt, FillPulseAt) dispatch to: "avx2" on amd64
+// when the CPU supports it, "none" otherwise.
 // Bench archives record it so numbers are attributable to the kernel
 // that produced them.
 func FillAccelName() string {
 	return fillAccelName()
 }
 
-// HasAVX2 reports whether the AVX2 kernels are compiled in (build tag
-// nblavx2, amd64) and the CPU/OS support executing them. Other packages
-// with their own nblavx2 assembly (the hyperspace evaluator) share this
-// one CPUID+XGETBV gate instead of duplicating it.
+// HasAVX2 reports whether the AVX2 kernels are compiled in (amd64) and
+// the CPU/OS support executing them. Other packages with their own
+// AVX2 assembly (the hyperspace evaluator) share this one CPUID+XGETBV
+// gate instead of duplicating it.
 func HasAVX2() bool {
 	return hasAVX2()
 }

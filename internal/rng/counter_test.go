@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -61,7 +62,7 @@ func TestWordMatchesSequentialSplitMix(t *testing.T) {
 
 // FillUniformAt must be bit-identical to the per-index scalar formula
 // on arbitrary (length, start, lo, span) — this is the conformance
-// oracle for the AVX2 kernel: under `-tags nblavx2` the bulk path runs
+// oracle for the AVX2 kernel: on an AVX2 amd64 host the bulk path runs
 // the assembly for the aligned prefix, and every lane must match the
 // portable expression exactly. Randomized geometries cover prefix/tail
 // splits at every alignment.
@@ -150,13 +151,29 @@ func TestFillUniformAtConcurrentDisjoint(t *testing.T) {
 	}
 }
 
-func BenchmarkFillUniformAt(b *testing.B) {
-	dst := make([]float64, 4096)
-	base := StreamBase(1, 1)
-	b.SetBytes(int64(len(dst) * 8))
-	for i := 0; i < b.N; i++ {
-		FillUniformAt(base, uint64(i)*uint64(len(dst)), dst, -1, 2)
+// benchFillLengths are the run lengths the fill benchmarks sweep. The
+// block evaluators call a fill once per noise source with k-word runs,
+// so short runs expose any fixed per-call cost and long runs the
+// per-word cost.
+var benchFillLengths = []int{4, 16, 64, 256, 4096}
+
+func benchFill(b *testing.B, src uint64, fill func(base, start uint64, dst []float64)) {
+	base := StreamBase(1, src)
+	for _, n := range benchFillLengths {
+		b.Run(fmt.Sprintf("words=%d", n), func(b *testing.B) {
+			dst := make([]float64, n)
+			b.SetBytes(int64(n * 8))
+			for i := 0; i < b.N; i++ {
+				fill(base, uint64(i)*uint64(n), dst)
+			}
+		})
 	}
+}
+
+func BenchmarkFillUniformAt(b *testing.B) {
+	benchFill(b, 1, func(base, start uint64, dst []float64) {
+		FillUniformAt(base, start, dst, -1, 2)
+	})
 }
 
 // FillRTWAt must be bit-identical to the per-index scalar formula
@@ -261,20 +278,71 @@ func TestFillPulseAtDensityEdges(t *testing.T) {
 	}
 }
 
-func BenchmarkFillRTWAt(b *testing.B) {
-	dst := make([]float64, 4096)
-	base := StreamBase(1, 2)
-	b.SetBytes(int64(len(dst) * 8))
-	for i := 0; i < b.N; i++ {
-		FillRTWAt(base, uint64(i)*uint64(len(dst)), dst)
+// The portable loops are the whole fill on other GOARCHes and on CPUs
+// without AVX2, but on an AVX2 amd64 host the entry points hand them
+// only the len%4 tails. Call them directly on every length 0–67 at
+// random offsets, so a bug in the portable path cannot hide behind the
+// vector kernel: each must match both the scalar formula and the entry
+// point.
+func TestPortableFillsMatchEntryPoints(t *testing.T) {
+	g := New(0x90f11)
+	for n := 0; n <= 67; n++ {
+		base := g.Uint64()
+		start := g.Uint64() >> uint(g.Intn(64))
+		lo, span := g.Uniform(-2, 2), g.Uniform(0, 3)
+		density, amp := g.Uniform(0, 1), g.Uniform(0.5, 3)
+		fills := []struct {
+			name            string
+			portable, entry func(dst []float64)
+			scalar          func(w uint64) float64
+		}{
+			{"uniform",
+				func(dst []float64) { fillUniformGo(base, start, dst, lo, span) },
+				func(dst []float64) { FillUniformAt(base, start, dst, lo, span) },
+				func(w uint64) float64 { return lo + span*(float64(w>>11)*0x1p-53) }},
+			{"rtw",
+				func(dst []float64) { fillRTWGo(base, start, dst) },
+				func(dst []float64) { FillRTWAt(base, start, dst) },
+				func(w uint64) float64 {
+					if w&1 == 1 {
+						return 1
+					}
+					return -1
+				}},
+			{"pulse",
+				func(dst []float64) { fillPulseGo(base, start, dst, density, amp) },
+				func(dst []float64) { FillPulseAt(base, start, dst, density, amp) },
+				func(w uint64) float64 {
+					switch {
+					case float64(w>>11)*0x1p-53 >= density:
+						return 0
+					case w&1 == 1:
+						return amp
+					}
+					return -amp
+				}},
+		}
+		for _, fl := range fills {
+			portable, entry := make([]float64, n), make([]float64, n)
+			fl.portable(portable)
+			fl.entry(entry)
+			for s := range portable {
+				want := fl.scalar(Word(base, start+uint64(s)))
+				if portable[s] != want || entry[s] != want {
+					t.Fatalf("%s n=%d start=%d: [%d] portable %v, entry %v, scalar %v",
+						fl.name, n, start, s, portable[s], entry[s], want)
+				}
+			}
+		}
 	}
 }
 
+func BenchmarkFillRTWAt(b *testing.B) {
+	benchFill(b, 2, FillRTWAt)
+}
+
 func BenchmarkFillPulseAt(b *testing.B) {
-	dst := make([]float64, 4096)
-	base := StreamBase(1, 3)
-	b.SetBytes(int64(len(dst) * 8))
-	for i := 0; i < b.N; i++ {
-		FillPulseAt(base, uint64(i)*uint64(len(dst)), dst, 0.25, 2)
-	}
+	benchFill(b, 3, func(base, start uint64, dst []float64) {
+		FillPulseAt(base, start, dst, 0.25, 2)
+	})
 }

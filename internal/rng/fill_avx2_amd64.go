@@ -1,11 +1,9 @@
-//go:build nblavx2 && amd64
-
 package rng
 
-// The AVX2 fill is an explicit opt-in (build tag nblavx2) so the
-// default build stays pure Go on every GOARCH. Even with the tag on,
-// the kernel only runs when the CPU and OS support AVX2 state; the
-// portable loop remains the fallback and the conformance oracle.
+// On amd64 the bulk fills run the AVX2 kernels whenever the CPU and OS
+// support AVX2 state; the runtime gate below is the only selector. The
+// portable loop remains the fallback (and the whole path on other
+// GOARCHes) and the conformance oracle.
 var haveAVX2 = cpuHasAVX2()
 
 // fillUniformAccel fills the largest multiple-of-4 prefix of dst with

@@ -1,10 +1,10 @@
-//go:build !nblavx2 || !amd64
+//go:build !amd64
 
 package rng
 
 // The no-acceleration stubs: each fills nothing and lets the Fill*At
 // entry points run the portable loops. The AVX2 kernels replace them
-// under `-tags nblavx2` on amd64.
+// on amd64.
 
 func fillUniformAccel(base, start uint64, dst []float64, lo, span float64) int {
 	return 0

@@ -140,7 +140,7 @@ func TestZeroVarianceUnsatStaysUnsat(t *testing.T) {
 }
 
 // TestSolverReportsAccel pins the registry adapter's provenance: the
-// fill runs through the bank's RTW kernel (AVX2 under nblavx2), the
+// fill runs through the bank's RTW kernel (AVX2 on amd64), the
 // evaluation through the engine's own kernel, never the block
 // evaluator.
 func TestSolverReportsAccel(t *testing.T) {

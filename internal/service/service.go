@@ -161,20 +161,30 @@ type Job struct {
 	err       error
 	cacheHit  bool
 	cancelled bool // DELETE was requested
-	progress  solver.Stats
+	done      chan struct{}
 
-	cancel context.CancelFunc
+	// run is everything the job needs only until its trace is in the
+	// ring; release sets it to nil under mu, so a retained terminal job
+	// is just its identity, times, result and error.
+	run *jobRun
+}
+
+// jobRun is a job's in-flight state. Its fields are set at submit and
+// then read without mu by the goroutine that owns the job's current
+// stage (span mutation locks the trace itself); only progress is
+// written later, under the job's mu.
+type jobRun struct {
 	ctx    context.Context
-	done   chan struct{}
+	cancel context.CancelFunc
 
 	f     *cnf.Formula
 	canon *cnf.Canonical // computed at submit, reused by finish's cache put
 	cfg   solver.Config
 
-	// trace/root/queueSpan are written once at submit and only read
-	// afterwards by the goroutine that owns the job's current stage;
-	// span mutation locks the trace itself. release clears them (and
-	// ctx/cancel) under mu once the trace is in the ring.
+	// progress is the latest in-flight stats report; GET /jobs/{id}
+	// shows it only while the job runs.
+	progress solver.Stats
+
 	trace     *obs.Trace
 	root      *obs.Span
 	queueSpan *obs.Span
@@ -294,24 +304,24 @@ func (s *Server) Submit(f *cnf.Formula, opts SubmitOptions) (*Job, error) {
 	}
 
 	now := time.Now()
+	run := &jobRun{f: f, cfg: opts.Solver}
 	job := &Job{
 		Engine:    engine,
 		Task:      task,
 		state:     StateQueued,
 		submitted: now,
 		done:      make(chan struct{}),
-		f:         f,
-		cfg:       opts.Solver,
+		run:       run,
 	}
-	job.trace = obs.NewTrace(opts.TraceID)
-	job.root = job.trace.Root("job")
-	job.root.SetAttr("engine", engine)
-	job.root.SetAttr("task", string(task))
+	run.trace = obs.NewTrace(opts.TraceID)
+	run.root = run.trace.Root("job")
+	run.root.SetAttr("engine", engine)
+	run.root.SetAttr("task", string(task))
 
 	if s.cache.enabled() {
-		job.canon = cnf.Canonicalize(f)
+		run.canon = cnf.Canonicalize(f)
 	}
-	if res, ok := s.cache.get(job.root, task, engine, opts.Solver.Key(), job.canon); ok {
+	if res, ok := s.cache.get(run.root, task, engine, opts.Solver.Key(), run.canon); ok {
 		// Replay: the stored Result verbatim (stats, wall, engine), the
 		// model translated through this submission's renaming. The job
 		// is fully terminal *before* register publishes it — once it is
@@ -343,7 +353,7 @@ func (s *Server) Submit(f *cnf.Formula, opts SubmitOptions) (*Job, error) {
 	} else {
 		ctx, cancel = context.WithCancel(ctx)
 	}
-	job.ctx, job.cancel = ctx, cancel
+	run.ctx, run.cancel = ctx, cancel
 
 	s.mu.Lock()
 	if !s.accepting {
@@ -356,7 +366,7 @@ func (s *Server) Submit(f *cnf.Formula, opts SubmitOptions) (*Job, error) {
 		cancel()
 		return nil, ErrQueueFull
 	}
-	job.queueSpan = job.root.StartChild("queue.wait")
+	run.queueSpan = run.root.StartChild("queue.wait")
 	s.register(job)
 	s.pending = append(s.pending, job)
 	s.queued++
@@ -392,10 +402,10 @@ func (s *Server) reapQueued(j *Job) {
 	j.mu.Lock()
 	j.cancelled = true
 	j.state = StateCancelled
-	j.err = j.ctx.Err()
+	j.err = j.run.ctx.Err()
 	j.finished = time.Now()
 	j.mu.Unlock()
-	j.queueSpan.Finish()
+	j.run.queueSpan.Finish()
 	s.completeTrace(j, string(StateCancelled), "")
 	s.met.jobFinished(string(StateCancelled), j.Engine, j.Task, 0, 0)
 	close(j.done)
@@ -420,7 +430,7 @@ func (s *Server) defaultEngine(task solver.Task) string {
 func (s *Server) register(job *Job) {
 	s.nextID++
 	job.ID = "j" + strconv.FormatUint(s.nextID, 10)
-	job.trace.SetJob(job.ID)
+	job.run.trace.SetJob(job.ID)
 	s.jobs[job.ID] = job
 	s.jobOrder = append(s.jobOrder, job.ID)
 	// Evict oldest terminal jobs over the retention cap — head-only, so
@@ -483,12 +493,12 @@ func (s *Server) Cancel(id string) error {
 		return err
 	}
 	j.mu.Lock()
-	if j.state.Terminal() {
+	if j.state.Terminal() || j.run == nil {
 		j.mu.Unlock()
 		return nil
 	}
 	j.cancelled = true
-	cancel := j.cancel
+	cancel := j.run.cancel
 	j.mu.Unlock()
 	if cancel != nil {
 		cancel()
@@ -529,10 +539,11 @@ func (s *Server) worker() {
 		job.state = StateRunning
 		job.started = time.Now()
 		job.mu.Unlock()
-		job.queueSpan.Finish()
+		run := job.run
+		run.queueSpan.Finish()
 
-		acq := job.root.StartChild("pool.acquire")
-		lease, err := enginepool.Default.Acquire(job.Engine, job.cfg, job.f)
+		acq := run.root.StartChild("pool.acquire")
+		lease, err := enginepool.Default.Acquire(job.Engine, run.cfg, run.f)
 		if err != nil {
 			// Validated at submit; only a racing registry change can
 			// land here. Fail the job, not the worker.
@@ -542,12 +553,12 @@ func (s *Server) worker() {
 		}
 		acq.SetAttr("warm", strconv.FormatBool(lease.Warm()))
 		acq.Finish()
-		ctx := solver.ContextWithProgress(job.ctx, func(st solver.Stats) {
+		ctx := solver.ContextWithProgress(run.ctx, func(st solver.Stats) {
 			job.mu.Lock()
-			job.progress = st
+			run.progress = st
 			job.mu.Unlock()
 		})
-		solveSpan := job.root.StartChild("solve")
+		solveSpan := run.root.StartChild("solve")
 		res, err := lease.Solve(obs.ContextWithSpan(ctx, solveSpan))
 		solveSpan.Finish()
 		lease.Release()
@@ -574,8 +585,9 @@ func (s *Server) finish(job *Job, res solver.Result, err error) {
 	}
 	state := job.state
 	job.mu.Unlock()
-	if job.cancel != nil {
-		job.cancel()
+	run := job.run
+	if run.cancel != nil {
+		run.cancel()
 	}
 
 	s.mu.Lock()
@@ -586,8 +598,8 @@ func (s *Server) finish(job *Job, res solver.Result, err error) {
 	// observable (sync responses, long-polls), a client may resubmit
 	// the same formula or scrape /metrics, and both must already see
 	// this job's cache entry and counters.
-	if state == StateDone && job.canon != nil {
-		s.cache.put(job.Task, job.Engine, job.cfg.Key(), job.canon, res)
+	if state == StateDone && run.canon != nil {
+		s.cache.put(job.Task, job.Engine, run.cfg.Key(), run.canon, res)
 	}
 	s.completeTrace(job, string(state), res.Status.String())
 	s.met.jobFinished(string(state), job.Engine, job.Task, res.Stats.Samples, res.Wall)
@@ -600,14 +612,15 @@ func (s *Server) finish(job *Job, res solver.Result, err error) {
 // guaranteed to still exist. It then releases the job: from here on
 // the ring is the only holder of the span tree.
 func (s *Server) completeTrace(job *Job, state, status string) {
-	job.root.SetAttr("state", state)
+	run := job.run
+	run.root.SetAttr("state", state)
 	if status != "" {
-		job.root.SetAttr("status", status)
+		run.root.SetAttr("status", status)
 	}
-	job.root.Finish()
-	tj := job.trace.JSON()
+	run.root.Finish()
+	tj := run.trace.JSON()
 	s.met.observeTrace(tj)
-	s.traces.Add(job.trace)
+	s.traces.Add(run.trace)
 	if s.cfg.TraceSlow > 0 {
 		job.mu.Lock()
 		wall := job.finished.Sub(job.submitted)
@@ -638,18 +651,15 @@ func (s *Server) RecentTraces(n int) []*obs.TraceJSON {
 	return out
 }
 
-// release drops the references a terminal job no longer needs: its
-// formula, its canonical form, its span tree and its context. The
-// retention table is bounded in jobs, not bytes; without this a stream
-// of large submissions would pin up to MaxJobs parsed formulas, and
-// every retained job would pin its span tree outside the bounded
-// trace ring.
+// release drops the run state a terminal job no longer needs: its
+// formula, its canonical form, its span tree, its context and its
+// progress. The retention table is bounded in jobs, not bytes; without
+// this a stream of large submissions would pin up to MaxJobs parsed
+// formulas, every retained job would pin its span tree outside the
+// bounded trace ring, and each would carry ~200 bytes of dead fields.
 func (j *Job) release() {
 	j.mu.Lock()
-	j.f = nil
-	j.canon = nil
-	j.trace, j.root, j.queueSpan = nil, nil, nil
-	j.ctx, j.cancel = nil, nil
+	j.run = nil
 	j.mu.Unlock()
 }
 
@@ -736,6 +746,10 @@ type Snapshot struct {
 func (j *Job) Snapshot() Snapshot {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	var progress solver.Stats
+	if j.run != nil {
+		progress = j.run.progress
+	}
 	return Snapshot{
 		ID:        j.ID,
 		Engine:    j.Engine,
@@ -745,7 +759,7 @@ func (j *Job) Snapshot() Snapshot {
 		Started:   j.started,
 		Finished:  j.finished,
 		CacheHit:  j.cacheHit,
-		Progress:  j.progress,
+		Progress:  progress,
 		Result:    j.result,
 		Err:       j.err,
 	}

@@ -171,9 +171,10 @@ func TestTraceSharesSubmittedTraceID(t *testing.T) {
 }
 
 // TestFinishedJobReleasesTrace: once a job's trace is in the ring, the
-// retained job holds neither its span tree nor its context — the ring
-// bounds trace memory, not the MaxJobs job table — and Trace still
-// serves the tree from the ring, for a solved job and a cache hit.
+// retained job holds none of its run state (span tree, context,
+// formula, canonical form, config, progress) — the ring bounds trace
+// memory, not the MaxJobs job table — and Trace still serves the tree
+// from the ring, for a solved job and a cache hit.
 func TestFinishedJobReleasesTrace(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, DefaultEngine: "svc-echo"})
 	for _, name := range []string{"solved", "cache-hit"} {
@@ -183,17 +184,71 @@ func TestFinishedJobReleasesTrace(t *testing.T) {
 		}
 		waitDone(t, j)
 		j.mu.Lock()
-		held := j.trace != nil || j.root != nil || j.queueSpan != nil || j.ctx != nil || j.cancel != nil
+		held := j.run != nil
 		hit := j.cacheHit
 		j.mu.Unlock()
 		if held {
-			t.Errorf("%s job %s still holds its trace or context", name, j.ID)
+			t.Errorf("%s job %s still holds its run state", name, j.ID)
 		}
 		if hit != (name == "cache-hit") {
 			t.Errorf("%s job %s: cache hit = %v", name, j.ID, hit)
 		}
 		if tr := s.Trace(j.ID); tr == nil || tr.Find("job") == nil {
 			t.Errorf("%s job %s: trace not served from the ring", name, j.ID)
+		}
+	}
+}
+
+// TestReleasedJobSnapshotKeepsOutcome: releasing the run state must not
+// lose anything a client reads from a finished job. Snapshot still
+// carries the ID, state, times, result and error of a solved job and of
+// a failed one, and a DELETE of a released job is a no-op.
+func TestReleasedJobSnapshotKeepsOutcome(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, CacheEntries: -1})
+	cases := []struct {
+		name  string
+		opts  SubmitOptions
+		state State
+	}{
+		{"done", SubmitOptions{Engine: "svc-echo"}, StateDone},
+		// svc-gate fails a seed that has no control channel.
+		{"failed", SubmitOptions{Engine: "svc-gate", Solver: solver.Config{Seed: 0x5eed}}, StateFailed},
+	}
+	for _, c := range cases {
+		j, err := s.Submit(testFormula(), c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := waitDone(t, j)
+		j.mu.Lock()
+		released := j.run == nil
+		j.mu.Unlock()
+		if !released {
+			t.Fatalf("%s job %s not released", c.name, j.ID)
+		}
+		if snap.ID != j.ID || snap.ID == "" || snap.State != c.state {
+			t.Errorf("%s: snapshot id %q state %s, want %q %s", c.name, snap.ID, snap.State, j.ID, c.state)
+		}
+		if snap.Submitted.IsZero() || snap.Started.IsZero() || snap.Finished.Before(snap.Started) {
+			t.Errorf("%s: snapshot times submitted %v started %v finished %v",
+				c.name, snap.Submitted, snap.Started, snap.Finished)
+		}
+		switch c.state {
+		case StateDone:
+			if snap.Err != nil || snap.Result.Status != solver.StatusSat || snap.Result.Assignment == nil ||
+				snap.Result.Stats.Samples != 100 {
+				t.Errorf("done: snapshot result %+v err %v", snap.Result, snap.Err)
+			}
+		case StateFailed:
+			if snap.Err == nil || !strings.Contains(snap.Err.Error(), "no control channel") {
+				t.Errorf("failed: snapshot err %v", snap.Err)
+			}
+		}
+		if err := s.Cancel(j.ID); err != nil {
+			t.Errorf("%s: cancel of a released job: %v", c.name, err)
+		}
+		if after := j.Snapshot(); after.State != c.state {
+			t.Errorf("%s: state after cancel %s, want %s", c.name, after.State, c.state)
 		}
 	}
 }
