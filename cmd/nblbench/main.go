@@ -3,9 +3,10 @@
 // plus any DIMACS files given as arguments, and writes one
 // BENCH_<timestamp>.json per invocation. The JSON records, per
 // (instance, engine) run, the verdict, wall time, consumed samples, and
-// samples/sec, plus a kernel section comparing the scalar Step path
-// against the batched StepBlock path — the repository's performance
-// trajectory is the series of these files over time.
+// samples/sec, plus a kernel section timing the block evaluator
+// (StepBlockAt) and splitting its per-sample cost into noise fill and
+// S_N evaluation — the repository's performance trajectory is the
+// series of these files over time.
 //
 // Every engine is benchmarked twice per instance: bare, and wrapped in
 // the preprocess-and-decompose pipeline as pre(<engine>). The paired
@@ -99,19 +100,17 @@ type PoolRun struct {
 	Err         string  `json:"error,omitempty"`
 }
 
-// KernelRun compares the scalar and block evaluation kernels on one
-// instance geometry, and splits the block path's per-sample cost into
-// its two stages: FillNs is the noise fill alone (measured by running
-// bank.FillBlockAt over the same blocks without evaluating), EvalNs the
-// S_N evaluation share (block total minus fill, floored at zero). The
-// split shows which stage an accelerated build actually moved.
+// KernelRun times the block evaluation kernel on one instance
+// geometry and splits its per-sample cost into two stages: FillNs is
+// the noise fill alone (measured by running bank.FillBlockAt over the
+// same blocks without evaluating), EvalNs the S_N evaluation share
+// (block total minus fill, floored at zero). The split shows which
+// stage an accelerated build actually moved.
 type KernelRun struct {
 	Instance        string  `json:"instance"`
 	Vars            int     `json:"vars"`
 	Clauses         int     `json:"clauses"`
-	ScalarPerSec    float64 `json:"scalar_samples_per_sec"`
 	BlockPerSec     float64 `json:"block_samples_per_sec"`
-	BlockSpeedup    float64 `json:"block_speedup"`
 	FillNs          float64 `json:"fill_ns"`
 	EvalNs          float64 `json:"eval_ns"`
 	SamplesMeasured int64   `json:"samples_measured"`
@@ -190,8 +189,9 @@ func main() {
 		EvalAccel:            hyperspace.EvalAccelName(),
 	}
 
-	// Kernel microbenchmark: scalar vs block samples/sec on the paper's
-	// geometry and (full mode) a SATLIB-scale random instance.
+	// Kernel microbenchmark: block samples/sec and its fill/eval split
+	// on the paper's geometry and (full mode) a SATLIB-scale random
+	// instance.
 	kernelInsts := []instance{{name: "paper-sat-n2m4", f: gen.PaperSAT()}}
 	if !*tiny {
 		kernelInsts = append(kernelInsts,
@@ -204,8 +204,8 @@ func main() {
 	for _, in := range kernelInsts {
 		kr := kernelBench(in, *seed, kernelBudget)
 		rep.Kernel = append(rep.Kernel, kr)
-		fmt.Printf("kernel %-16s scalar %12.0f/s  block %12.0f/s  speedup %.2fx  fill %.0fns  eval %.0fns\n",
-			in.name, kr.ScalarPerSec, kr.BlockPerSec, kr.BlockSpeedup, kr.FillNs, kr.EvalNs)
+		fmt.Printf("kernel %-16s block %12.0f/s  fill %.0fns  eval %.0fns\n",
+			in.name, kr.BlockPerSec, kr.FillNs, kr.EvalNs)
 	}
 
 	lineup := strings.Split(*engines, ",")
@@ -388,29 +388,22 @@ func roster(seed uint64, tiny bool) []instance {
 	return insts
 }
 
-// kernelBench measures Step vs StepBlock throughput on one instance.
-// Both paths draw from identically seeded banks, so they do the same
-// arithmetic on the same streams.
+// kernelBench measures StepBlockAt throughput on one instance, then
+// times the fill alone over the same block schedule from an
+// identically seeded bank.
 func kernelBench(in instance, seed uint64, budget int64) KernelRun {
 	n, m := in.f.NumVars, in.f.NumClauses()
 
-	scalar := hyperspace.New(in.f, noise.NewBank(noise.UniformUnit, seed, n, m))
-	start := time.Now()
-	var sink float64
-	for i := int64(0); i < budget; i++ {
-		sink += scalar.Step().S
-	}
-	scalarSec := float64(budget) / time.Since(start).Seconds()
-
 	block := hyperspace.New(in.f, noise.NewBank(noise.UniformUnit, seed, n, m))
 	buf := make([]float64, hyperspace.BlockSize(n, m))
-	start = time.Now()
+	var sink float64
+	start := time.Now()
 	for done := int64(0); done < budget; {
 		k := int64(len(buf))
 		if rem := budget - done; rem < k {
 			k = rem
 		}
-		block.StepBlock(buf[:k])
+		block.StepBlockAt(uint64(done), buf[:k])
 		sink += buf[0]
 		done += k
 	}
@@ -445,9 +438,7 @@ func kernelBench(in instance, seed uint64, budget int64) KernelRun {
 		Instance:        in.name,
 		Vars:            n,
 		Clauses:         m,
-		ScalarPerSec:    scalarSec,
 		BlockPerSec:     blockSec,
-		BlockSpeedup:    blockSec / scalarSec,
 		FillNs:          fillNs,
 		EvalNs:          evalNs,
 		SamplesMeasured: budget,

@@ -166,7 +166,7 @@ func TestCompiledEngineMatchesMathEngine(t *testing.T) {
 	ev := hyperspace.New(f, bank)
 	for step := 0; step < 200; step++ {
 		eng.Net.Step()
-		want := ev.Step()
+		want := ev.SampleAt(uint64(step))
 		if math.Abs(eng.Net.Value(eng.SN)-want.S) > 1e-12 {
 			t.Fatalf("step %d: netlist S_N = %v, evaluator = %v",
 				step, eng.Net.Value(eng.SN), want.S)

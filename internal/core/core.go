@@ -55,12 +55,6 @@ type Options struct {
 	// disjoint sample-index chunks of the same counter-addressed
 	// streams).
 	Workers int
-	// Block overrides the sampling batch size. Default 0 selects the
-	// cache-aware hyperspace.BlockSize for the instance geometry. The
-	// per-source sample streams are identical for every block size
-	// (SampleSource's FillBlockAt contract), so Block never changes
-	// results — only throughput.
-	Block int
 	// Progress, when non-nil, observes the running statistic after every
 	// merged convergence round (cadence CheckEvery samples): total
 	// samples so far, the running mean, and its standard error. It is
@@ -130,6 +124,10 @@ type Engine struct {
 	opts     Options
 	checkSeq uint64        // distinct noise streams per check
 	workers  []workerState // per-worker bank/evaluator, reused across checks
+	// block overrides the geometry-derived sampling batch size when
+	// positive; only in-package tests set it, to prove the batch size
+	// never changes results.
+	block int
 }
 
 // ErrNoVariables is returned for formulas over zero variables.
@@ -244,17 +242,28 @@ func (e *Engine) CheckBoundCtx(ctx context.Context, bound cnf.Assignment) (Resul
 // MeanTrace runs the sampler on the unreduced hyperspace and records the
 // running mean every `every` samples up to maxSamples, reproducing the
 // data series of the paper's Figure 1. It uses a single worker so the
-// trace is a true prefix-mean sequence.
+// trace is a true prefix-mean sequence: samples are evaluated in blocks
+// but added to the running mean one at a time, in index order, so the
+// trace does not depend on the block size.
 func (e *Engine) MeanTrace(every, maxSamples int64) []TracePoint {
 	e.checkSeq++
 	ev := e.evaluator(cnf.NewAssignment(e.f.NumVars), e.checkSeq, 0)
+	buf := e.workers[0].buf
 	var w stats.Welford
 	var out []TracePoint
-	for i := int64(1); i <= maxSamples; i++ {
-		w.Add(ev.Step().S)
-		if i%every == 0 || i == maxSamples {
-			out = append(out, TracePoint{Samples: i, Mean: w.Mean()})
+	for base := int64(0); base < maxSamples; {
+		k := int64(len(buf))
+		if rem := maxSamples - base; rem < k {
+			k = rem
 		}
+		ev.StepBlockAt(uint64(base), buf[:k])
+		for s, x := range buf[:k] {
+			w.Add(x)
+			if i := base + int64(s) + 1; i%every == 0 || i == maxSamples {
+				out = append(out, TracePoint{Samples: i, Mean: w.Mean()})
+			}
+		}
+		base += k
 	}
 	return out
 }

@@ -16,7 +16,7 @@ import (
 // geometry by hyperspace.BlockSize: large enough to amortize the bank
 // dispatch and evaluator scratch setup, small enough that cancellation
 // polls (which happen at block boundaries) stay responsive and the SoA
-// block buffers stay cache-resident (Options.Block overrides).
+// block buffers stay cache-resident.
 
 // workerState is one worker's persistent sampling machinery: a noise
 // bank, the evaluator wired to it, and the block sample buffer. It is
@@ -43,10 +43,9 @@ func checkSeed(seed, seq uint64) uint64 {
 	return rng.Mix(seed, seq)
 }
 
-// evaluator returns worker w's evaluator, re-seeded for check seq,
-// rewound to sample 0, and re-bound to bound. The first use per worker
-// builds the bank and evaluator; every later check reuses them in
-// place.
+// evaluator returns worker w's evaluator, re-seeded for check seq and
+// re-bound to bound. The first use per worker builds the bank and
+// evaluator; every later check reuses them in place.
 func (e *Engine) evaluator(bound cnf.Assignment, seq uint64, w int) *hyperspace.Evaluator {
 	for len(e.workers) <= w {
 		e.workers = append(e.workers, workerState{})
@@ -56,14 +55,13 @@ func (e *Engine) evaluator(bound cnf.Assignment, seq uint64, w int) *hyperspace.
 	if st.bank == nil {
 		st.bank = noise.NewBank(e.opts.Family, seed, e.f.NumVars, e.f.NumClauses())
 		st.ev = hyperspace.New(e.f, st.bank)
-		k := e.opts.Block
+		k := e.block
 		if k <= 0 {
 			k = hyperspace.BlockSize(e.f.NumVars, e.f.NumClauses())
 		}
 		st.buf = make([]float64, k)
 	} else {
 		st.bank.Reseed(seed)
-		st.ev.Seek(0)
 	}
 	st.ev.BindAll(bound)
 	return st.ev
@@ -75,9 +73,9 @@ func (e *Engine) evaluator(bound cnf.Assignment, seq uint64, w int) *hyperspace.
 // (rather than the budget) stopped the run.
 //
 // The sample-index axis is cut into fixed-size chunks (the block size,
-// which depends only on the instance geometry and Options.Block —
-// never on the worker count). A convergence round covers a fixed range
-// of chunks; workers claim chunks dynamically from an atomic counter
+// which depends only on the instance geometry — never on the worker
+// count). A convergence round covers a fixed range of chunks; workers
+// claim chunks dynamically from an atomic counter
 // (deterministic work-stealing: WHO evaluates a chunk is
 // scheduling-dependent, but WHAT a chunk contains is a pure function of
 // its index), accumulate each chunk into its own slot, and the

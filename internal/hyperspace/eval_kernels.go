@@ -4,7 +4,7 @@ package hyperspace
 // sample, a fixed sequence of elementwise row operations over the SoA
 // scratch; these eight primitives are that sequence's vocabulary. Each
 // states its exact association order in its name-comment — the order is
-// the contract, because the scalar kernel (eval) is the conformance
+// the contract, because the scalar kernel (SampleAt) is the conformance
 // oracle and Go evaluates product chains left-to-right without fusing.
 // The AVX2 build replaces the bulk of each row with a vector loop that
 // performs the same operations in the same per-element order (separate

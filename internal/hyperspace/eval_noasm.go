@@ -4,9 +4,10 @@ package hyperspace
 
 // Other GOARCHes: every row primitive is the pure-Go loop. The same
 // loops are the conformance oracle the amd64 AVX2 path is pinned
-// against — the block property tests compare StepBlockAt to per-sample
-// Step, Step runs the scalar kernel on every build, and the row-kernel
-// tests compare each vec* primitive with its *Go loop directly.
+// against — the block property tests compare StepBlockAt to the scalar
+// oracle SampleAt, which runs the scalar kernel on every build, and the
+// row-kernel tests compare each vec* primitive with its *Go loop
+// directly.
 
 func vecMulTo(dst, a, b []float64)      { mulToGo(dst, a, b) }
 func vecMulPair(dst, a, b []float64)    { mulPairGo(dst, a, b) }

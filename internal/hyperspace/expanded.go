@@ -22,7 +22,6 @@ type Expanded struct {
 	n, m int
 
 	bound    cnf.Assignment
-	cursor   uint64
 	pos, neg []float64
 }
 
@@ -49,14 +48,13 @@ func NewExpanded(f *cnf.Formula, bank SampleSource) *Expanded {
 	}
 }
 
-// Bind constrains a variable in tau_N, as in Evaluator.Bind.
-func (e *Expanded) Bind(v cnf.Var, val cnf.Value) { e.bound[v] = val }
+// BindAll replaces the tau_N bindings with those of a, as in
+// Evaluator.BindAll.
+func (e *Expanded) BindAll(a cnf.Assignment) { copy(e.bound[1:], a[1:e.n+1]) }
 
-// Step draws the sample at the cursor from every source and evaluates
-// by enumeration.
-func (e *Expanded) Step() Sample {
-	e.bank.FillBlockAt(e.cursor, 1, e.pos, e.neg)
-	e.cursor++
+// SampleAt draws sample t of every source and evaluates by enumeration.
+func (e *Expanded) SampleAt(t uint64) Sample {
+	e.bank.FillBlockAt(t, 1, e.pos, e.neg)
 	n, m := e.n, e.m
 
 	// tau_N: sum over all assignments consistent with the bindings of

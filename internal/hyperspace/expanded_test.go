@@ -21,7 +21,7 @@ func TestExpandedMatchesFactored(t *testing.T) {
 		factored := New(f, noise.NewBank(noise.UniformUnit, seed, n, m))
 		expanded := NewExpanded(f, noise.NewBank(noise.UniformUnit, seed, n, m))
 		for step := 0; step < 30; step++ {
-			a, b := factored.Step(), expanded.Step()
+			a, b := factored.SampleAt(uint64(step)), expanded.SampleAt(uint64(step))
 			if math.Abs(a.S-b.S) > 1e-9*math.Max(1, math.Abs(a.S)) ||
 				math.Abs(a.Tau-b.Tau) > 1e-9*math.Max(1, math.Abs(a.Tau)) {
 				t.Fatalf("trial %d step %d: factored %+v vs expanded %+v", trial, step, a, b)
@@ -35,10 +35,11 @@ func TestExpandedWithBindings(t *testing.T) {
 	seed := uint64(5)
 	factored := New(f, noise.NewBank(noise.RTW, seed, 2, 2))
 	expanded := NewExpanded(f, noise.NewBank(noise.RTW, seed, 2, 2))
-	factored.Bind(1, cnf.True)
-	expanded.Bind(1, cnf.True)
+	bound := cnf.Assignment{cnf.Unassigned, cnf.True, cnf.Unassigned}
+	factored.BindAll(bound)
+	expanded.BindAll(bound)
 	for step := 0; step < 50; step++ {
-		a, b := factored.Step(), expanded.Step()
+		a, b := factored.SampleAt(uint64(step)), expanded.SampleAt(uint64(step))
 		if a.S != b.S {
 			t.Fatalf("step %d: %v vs %v", step, a.S, b.S)
 		}
@@ -70,13 +71,13 @@ func benchEval(b *testing.B, n int, expand bool) {
 		e := NewExpanded(f, bank)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sink += e.Step().S
+			sink += e.SampleAt(uint64(i)).S
 		}
 	} else {
 		e := New(f, bank)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sink += e.Step().S
+			sink += e.SampleAt(uint64(i)).S
 		}
 	}
 	_ = sink

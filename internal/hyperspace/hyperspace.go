@@ -12,9 +12,9 @@
 //
 // A naive expansion of these superpositions is exponential; the whole
 // point of the NBL construction is that the *factored* forms above are
-// linear in n·m per sample. Evaluator computes one sample of S_N in
-// O(n·m) time and O(n·m) space using prefix/suffix products, supporting
-// the variable bindings that Algorithm 2 applies to tau_N.
+// linear in n·m per sample. Evaluator computes S_N in O(n·m) time and
+// space per sample using prefix/suffix products, supporting the
+// variable bindings that Algorithm 2 applies to tau_N.
 package hyperspace
 
 import (
@@ -38,32 +38,30 @@ type SampleSource interface {
 	// only — the same range re-requested, split differently, or
 	// requested out of order yields the same bits — so scalar and block
 	// evaluation are bit-identical and disjoint ranges can be claimed
-	// by concurrent workers. (The v1 migration oracle is the one
-	// sanctioned exception: it serves only sequential bases and panics
-	// on a seek.)
+	// by concurrent workers.
 	FillBlockAt(base uint64, k int, pos, neg []float64)
 	// Dims returns the (variables, clauses) geometry of the source set.
 	Dims() (n, m int)
 }
 
 // Evaluator computes per-sample values of the NBL-SAT hyperspace objects
-// for a fixed formula and sample source. It is not safe for concurrent
-// use; the Monte-Carlo engine gives each worker its own Evaluator.
+// for a fixed formula and sample source. It holds no stream position:
+// every evaluation names the sample indices it reads (StepBlockAt for a
+// block, SampleAt for the scalar reference), so its output is a pure
+// function of (formula, bindings, source, index). It is not safe for
+// concurrent use; the Monte-Carlo engine gives each worker its own
+// Evaluator.
 type Evaluator struct {
 	f    *cnf.Formula
 	bank SampleSource
 	n, m int
-
-	// cursor is the sample index the next Step/StepBlock call reads at;
-	// the counter-addressed StepBlockAt bypasses it entirely.
-	cursor uint64
 
 	// bound[v] constrains variable v in tau_N (Algorithm 2, line 4/8):
 	// True keeps only the positive-literal branch, False only the
 	// negative one, Unassigned keeps the sum of both.
 	bound cnf.Assignment
 
-	// Per-sample scratch: pos/neg hold the bank sample matrix
+	// SampleAt scratch: pos/neg hold one sample of every source
 	// ([i*m+j] for 0-based variable i, clause j); prodPos/prodNeg hold
 	// per-variable products across clauses; pre/suf hold prefix/suffix
 	// products of clause factor terms.
@@ -74,12 +72,12 @@ type Evaluator struct {
 	// Block scratch (SoA, sized lazily to the largest block seen): the
 	// sample matrices hold k samples per source in source-major layout,
 	// the per-variable products and clause prefix/suffix arrays hold k
-	// values per entry. Reused across StepBlock calls — the block path
-	// allocates nothing per sample.
+	// values per entry. Reused across StepBlockAt calls — the block
+	// path allocates nothing per sample.
 	blk blockScratch
 }
 
-// blockScratch holds the StepBlock working set for blocks up to cap k.
+// blockScratch holds the StepBlockAt working set for blocks up to cap k.
 type blockScratch struct {
 	k                int
 	pos, neg         []float64 // k samples per source, [(i*m+j)*k+s]
@@ -138,39 +136,22 @@ func (e *Evaluator) Reset(f *cnf.Formula) {
 		panic(err)
 	}
 	e.f = f
-	e.cursor = 0
 	for v := range e.bound {
 		e.bound[v] = cnf.Unassigned
 	}
 }
 
-// Seek positions the evaluator's stream cursor: the next Step or
-// StepBlock reads source samples starting at index base.
-func (e *Evaluator) Seek(base uint64) { e.cursor = base }
-
-// Cursor returns the sample index the next Step/StepBlock reads at.
-func (e *Evaluator) Cursor() uint64 { return e.cursor }
-
-// Bind constrains variable v to val in tau_N. Binding to Unassigned
-// removes the constraint. This mirrors Algorithm 2's construction of the
-// reduced hyperspace tau^red_N; Sigma_N is never modified.
-func (e *Evaluator) Bind(v cnf.Var, val cnf.Value) {
-	if int(v) < 1 || int(v) > e.n {
-		panic(fmt.Sprintf("hyperspace: Bind variable %d outside 1..%d", v, e.n))
-	}
-	e.bound[v] = val
-}
-
-// BindAll replaces all bindings with those of a (which must cover the
-// formula's variables).
+// BindAll replaces all bindings with those of a, constraining each
+// variable in tau_N to its value in a (Unassigned leaves it free). This
+// mirrors Algorithm 2's construction of the reduced hyperspace
+// tau^red_N; Sigma_N is never modified. It panics unless a covers the
+// formula's variables.
 func (e *Evaluator) BindAll(a cnf.Assignment) {
-	for v := 1; v <= e.n; v++ {
-		e.bound[v] = a.Get(cnf.Var(v))
+	if len(a) <= e.n {
+		panic(fmt.Sprintf("hyperspace: BindAll assignment of length %d does not cover variables 1..%d", len(a), e.n))
 	}
+	copy(e.bound[1:], a[1:e.n+1])
 }
-
-// Bindings returns a copy of the current binding assignment.
-func (e *Evaluator) Bindings() cnf.Assignment { return e.bound.Clone() }
 
 // Sample holds the per-sample values of the hyperspace objects.
 type Sample struct {
@@ -179,34 +160,16 @@ type Sample struct {
 	S     float64 // S_N(t) = Tau * Sigma
 }
 
-// Step draws the sample at the cursor from every noise source,
-// evaluates the hyperspace objects, and advances the cursor.
-func (e *Evaluator) Step() Sample {
-	// For k = 1 the source-major block layout [(i*m+j)*1] coincides with
-	// the scalar matrix layout [i*m+j], so the single-sample fill reads
-	// straight into the scalar scratch.
-	e.bank.FillBlockAt(e.cursor, 1, e.pos, e.neg)
-	e.cursor++
-	return e.eval()
-}
-
-// StepBlock draws the next len(out) samples at the cursor, writes the
-// corresponding S_N values into out, and advances the cursor.
-func (e *Evaluator) StepBlock(out []float64) {
-	e.StepBlockAt(e.cursor, out)
-	e.cursor += uint64(len(out))
-}
-
-// StepBlockAt evaluates S_N for source samples base..base+len(out)-1,
-// leaving the cursor untouched: the caller addresses the stream
-// directly, which is how the sampler's workers claim disjoint
-// sample-index ranges. It performs, per sample, exactly the
-// floating-point operations of Step in the same order, so a block is
-// bit-identical to len(out) Steps over the same sample range (the
-// conformance tests assert this for every noise family). The win is
-// structural: the source dispatch, the binding switch, and the
-// prefix/suffix scratch are amortized over the block, inner loops run
-// stride-1 over SoA buffers, and nothing is allocated per sample.
+// StepBlockAt evaluates S_N for source samples base..base+len(out)-1
+// and writes them into out. The caller addresses the stream directly,
+// which is how the sampler's workers claim disjoint sample-index
+// ranges. It performs, per sample, exactly the floating-point
+// operations of SampleAt in the same order, so out[s] is bit-identical
+// to SampleAt(base+s).S (the conformance tests and
+// FuzzStepBlockAtMatchesSampleAt assert this for every noise family).
+// The win is structural: the source dispatch, the binding switch, and
+// the prefix/suffix scratch are amortized over the block, inner loops
+// run stride-1 over SoA buffers, and nothing is allocated per sample.
 func (e *Evaluator) StepBlockAt(base uint64, out []float64) {
 	k := len(out)
 	if k == 0 {
@@ -216,7 +179,7 @@ func (e *Evaluator) StepBlockAt(base uint64, out []float64) {
 	b := e.ensureBlock(k)
 	e.bank.FillBlockAt(base, k, b.pos[:n*m*k], b.neg[:n*m*k])
 
-	// Per-variable products across clauses (cf. eval's first loop). The
+	// Per-variable products across clauses (cf. SampleAt's first loop). The
 	// all-ones initialization of the scalar kernel is elided by seeding
 	// the accumulator rows from the first clause (1*x == x exactly), and
 	// the clause loop is unrolled by pairs with the same association
@@ -340,7 +303,7 @@ func EvalAccelName() string { return evalAccelName() }
 func (e *Evaluator) ensureBlock(k int) *blockScratch {
 	b := &e.blk
 	if k <= b.k {
-		// Smaller blocks reuse a prefix of the buffers: StepBlock indexes
+		// Smaller blocks reuse a prefix of the buffers: StepBlockAt indexes
 		// every array with the active k as the stride, so only total
 		// length matters.
 		return b
@@ -382,8 +345,17 @@ func (e *Evaluator) ensureBlock(k int) *blockScratch {
 	return b
 }
 
-// eval computes the sample values from the current pos/neg matrices.
-func (e *Evaluator) eval() Sample {
+// SampleAt draws sample t of every source and evaluates the hyperspace
+// objects by the direct scalar recurrences. It is the reference oracle
+// that StepBlockAt must match bit for bit, not a hot path: it pays the
+// source dispatch and binding switch once per sample. It is exported
+// only for other packages' conformance tests: analog's netlist test
+// compares Tau and Sigma, which StepBlockAt does not report.
+func (e *Evaluator) SampleAt(t uint64) Sample {
+	// For k = 1 the source-major block layout [(i*m+j)*1] coincides with
+	// the scalar matrix layout [i*m+j], so the single-sample fill reads
+	// straight into the scalar scratch.
+	e.bank.FillBlockAt(t, 1, e.pos, e.neg)
 	n, m := e.n, e.m
 
 	// Per-variable products across clauses:
@@ -441,19 +413,3 @@ func (e *Evaluator) eval() Sample {
 
 	return Sample{Tau: tau, Sigma: sigma, S: tau * sigma}
 }
-
-// TauMintermCount returns the number of noise minterms in the (reduced)
-// hyperspace: 2^(free variables). It is the paper's |tau_N| and shrinks
-// by half per binding.
-func (e *Evaluator) TauMintermCount() uint64 {
-	free := 0
-	for v := 1; v <= e.n; v++ {
-		if e.bound[v] == cnf.Unassigned {
-			free++
-		}
-	}
-	return 1 << uint(free)
-}
-
-// Dims returns the formula dimensions (n variables, m clauses).
-func (e *Evaluator) Dims() (n, m int) { return e.n, e.m }

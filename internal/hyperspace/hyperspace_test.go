@@ -97,7 +97,7 @@ func TestStepMatchesBruteExpansion(t *testing.T) {
 		for step := 0; step < 50; step++ {
 			twin.FillBlockAt(uint64(step), 1, pos, neg)
 			want := bruteSample(f, pos, neg, cnf.NewAssignment(f.NumVars))
-			got := e.Step()
+			got := e.SampleAt(uint64(step))
 			if !sampleClose(got, want, 1e-9) {
 				t.Fatalf("formula %d step %d: got %+v, want %+v", fi, step, got, want)
 			}
@@ -122,7 +122,7 @@ func TestStepMatchesBruteWithBindings(t *testing.T) {
 		for step := 0; step < 30; step++ {
 			twin.FillBlockAt(uint64(step), 1, pos, neg)
 			want := bruteSample(f, pos, neg, bound)
-			got := e.Step()
+			got := e.SampleAt(uint64(step))
 			if !sampleClose(got, want, 1e-9) {
 				t.Fatalf("binding %d step %d: got %+v, want %+v", bi, step, got, want)
 			}
@@ -139,7 +139,7 @@ func TestMeanConvergesToWeightedCount(t *testing.T) {
 	const samples = 400000
 	var sum float64
 	for i := 0; i < samples; i++ {
-		sum += e.Step().S
+		sum += e.SampleAt(uint64(i)).S
 	}
 	mean := sum / samples
 	if math.Abs(mean-2) > 0.25 {
@@ -154,7 +154,7 @@ func TestMeanZeroForUNSAT(t *testing.T) {
 	const samples = 200000
 	var sum float64
 	for i := 0; i < samples; i++ {
-		sum += e.Step().S
+		sum += e.SampleAt(uint64(i)).S
 	}
 	mean := sum / samples
 	if math.Abs(mean) > 0.05 {
@@ -172,13 +172,10 @@ func TestFullBindingSelectsSingleMinterm(t *testing.T) {
 		bank := noise.NewBank(noise.UniformUnit, 50+bits, 2, 2)
 		e := New(f, bank)
 		e.BindAll(a)
-		if e.TauMintermCount() != 1 {
-			t.Fatalf("fully bound tau should have 1 minterm, got %d", e.TauMintermCount())
-		}
 		const samples = 300000
 		var sum float64
 		for i := 0; i < samples; i++ {
-			sum += e.Step().S
+			sum += e.SampleAt(uint64(i)).S
 		}
 		mean := sum / samples
 		want := 0.0
@@ -188,35 +185,6 @@ func TestFullBindingSelectsSingleMinterm(t *testing.T) {
 		if math.Abs(mean-want) > 0.1 {
 			t.Errorf("assignment %s: mean = %v, want ~%v", a, mean, want)
 		}
-	}
-}
-
-func TestTauMintermCount(t *testing.T) {
-	f := gen.PaperExample5() // 3 variables
-	bank := noise.NewBank(noise.UniformHalf, 1, 3, 4)
-	e := New(f, bank)
-	if e.TauMintermCount() != 8 {
-		t.Errorf("unbound count = %d, want 8", e.TauMintermCount())
-	}
-	e.Bind(1, cnf.True)
-	if e.TauMintermCount() != 4 {
-		t.Errorf("one binding: count = %d, want 4", e.TauMintermCount())
-	}
-	e.Bind(1, cnf.Unassigned)
-	if e.TauMintermCount() != 8 {
-		t.Errorf("unbinding: count = %d, want 8", e.TauMintermCount())
-	}
-}
-
-func TestBindingsSnapshot(t *testing.T) {
-	f := gen.PaperExample6()
-	bank := noise.NewBank(noise.UniformHalf, 1, 2, 2)
-	e := New(f, bank)
-	e.Bind(2, cnf.False)
-	snap := e.Bindings()
-	snap.Set(2, cnf.True) // mutating the copy must not affect e
-	if e.Bindings().Get(2) != cnf.False {
-		t.Error("Bindings returned a live reference")
 	}
 }
 
@@ -237,44 +205,8 @@ func TestBindRangePanics(t *testing.T) {
 	e := New(f, bank)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Bind out of range must panic")
+			t.Fatal("BindAll with an assignment not covering every variable must panic")
 		}
 	}()
-	e.Bind(3, cnf.True)
-}
-
-func TestDims(t *testing.T) {
-	f := gen.PaperExample5()
-	bank := noise.NewBank(noise.UniformHalf, 1, 3, 4)
-	e := New(f, bank)
-	if n, m := e.Dims(); n != 3 || m != 4 {
-		t.Errorf("Dims = (%d,%d), want (3,4)", n, m)
-	}
-}
-
-func BenchmarkStepSmall(b *testing.B) {
-	f := gen.PaperSAT()
-	bank := noise.NewBank(noise.UniformHalf, 1, f.NumVars, f.NumClauses())
-	e := New(f, bank)
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += e.Step().S
-	}
-	_ = sink
-}
-
-func BenchmarkStepMedium(b *testing.B) {
-	f := cnf.New(10)
-	for j := 0; j < 30; j++ {
-		f.Add(j%10+1, -(((j + 3) % 10) + 1), ((j+5)%10)+1)
-	}
-	bank := noise.NewBank(noise.UniformUnit, 1, f.NumVars, f.NumClauses())
-	e := New(f, bank)
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += e.Step().S
-	}
-	_ = sink
+	e.BindAll(cnf.NewAssignment(1))
 }

@@ -27,7 +27,7 @@ func TestStepMatchesHyperspaceEvaluator(t *testing.T) {
 		ev := hyperspace.New(f, bank)
 		for step := 0; step < 200; step++ {
 			got := e.Step()
-			want := ev.Step().S
+			want := ev.SampleAt(uint64(step)).S
 			if float64(got) != want {
 				t.Fatalf("%s step %d: int engine %d, float engine %v", f, step, got, want)
 			}

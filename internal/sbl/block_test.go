@@ -7,10 +7,10 @@ import (
 )
 
 // TestCarrierBankBlockBitIdentical checks the deterministic carrier
-// bank against the hyperspace block contract: a k-sample block must
-// equal k successive scalar steps sample for sample, so the batched
-// observation loop reads exactly the DC component the scalar loop
-// would.
+// bank against the hyperspace block contract: a k-sample block at
+// carrier time base must equal the scalar oracle SampleAt at times
+// base..base+k-1 sample for sample, so the batched observation loop
+// reads exactly the DC component the scalar loop would.
 func TestCarrierBankBlockBitIdentical(t *testing.T) {
 	f := gen.PaperExample6()
 	scalar, err := New(f, Options{})
@@ -21,14 +21,16 @@ func TestCarrierBankBlockBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var base uint64
 	for _, k := range []int{1, 5, 64, 33} {
 		out := make([]float64, k)
-		block.ev.StepBlock(out)
+		block.ev.StepBlockAt(base, out)
 		for s := 0; s < k; s++ {
-			if want := scalar.ev.Step().S; out[s] != want {
-				t.Fatalf("block %d sample %d: StepBlock %v != Step %v", k, s, out[s], want)
+			if want := scalar.ev.SampleAt(base + uint64(s)).S; out[s] != want {
+				t.Fatalf("block %d sample %d: StepBlockAt %v != SampleAt %v", k, s, out[s], want)
 			}
 		}
+		base += uint64(k)
 	}
 }
 
@@ -53,5 +55,28 @@ func TestCheckBlockSizeNeverChangesVerdict(t *testing.T) {
 		if got != want {
 			t.Errorf("block=%d: %+v != %+v", block, got, want)
 		}
+	}
+}
+
+// TestTruncatedCheckIsRepeatable pins Check as a pure function of the
+// formula and Options: a window shorter than the carrier period always
+// reads carrier times 0..MaxSamples-1, so a second Check on the same
+// engine returns the identical Result instead of observing a later
+// window.
+func TestTruncatedCheckIsRepeatable(t *testing.T) {
+	f := gen.PaperSAT()
+	e, err := New(f, Options{MaxSamples: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Period() <= 5000 {
+		t.Fatalf("period %d does not exceed the window; the test needs a truncated check", e.Period())
+	}
+	first := e.Check()
+	if first.FullPeriod || first.Samples != 5000 {
+		t.Fatalf("first check %+v, want a truncated 5000-sample window", first)
+	}
+	if second := e.Check(); second != first {
+		t.Errorf("second check %+v != first %+v", second, first)
 	}
 }

@@ -215,8 +215,10 @@ type Result struct {
 	FullPeriod bool
 }
 
-// Check runs the SBL engine over min(Period, MaxSamples) samples and
-// thresholds the DC estimate.
+// Check runs the SBL engine over carrier times 0..min(Period,
+// MaxSamples)-1 and thresholds the DC estimate. The window always
+// starts at t = 0, so Check is a pure function of the formula and
+// Options: repeated calls on one engine return identical Results.
 func (e *Engine) Check() Result {
 	r, _ := e.CheckCtx(context.Background())
 	return r
@@ -225,9 +227,9 @@ func (e *Engine) Check() Result {
 // CheckCtx is Check with cancellation: the observation loop advances in
 // cache-aware e.block batches through the evaluator's block kernel and
 // polls ctx at every block boundary, returning the partial window with
-// ctx.Err() when the context ends. The DC accumulation order matches
-// the scalar loop sample for sample, so results are unchanged by the
-// batching — for any block size.
+// ctx.Err() when the context ends. The DC sum is accumulated in
+// carrier-time order, sample for sample, so results are unchanged by
+// the batching — for any block size.
 func (e *Engine) CheckCtx(ctx context.Context) (Result, error) {
 	window := e.period
 	full := true
@@ -249,7 +251,7 @@ func (e *Engine) CheckCtx(ctx context.Context) (Result, error) {
 		if rem := window - i; rem < k {
 			k = rem
 		}
-		e.ev.StepBlock(buf[:k])
+		e.ev.StepBlockAt(uint64(i), buf[:k])
 		for _, s := range buf[:k] {
 			sum += s
 		}
@@ -265,9 +267,8 @@ func (e *Engine) CheckCtx(ctx context.Context) (Result, error) {
 }
 
 // Reset re-targets the engine at a new formula, restoring fresh-engine
-// state: the carriers rewind to t = 0, so a Reset engine is
-// result-identical to New(f, opts) — the warm-path contract the engine
-// lease pool relies on. When the (n, m) geometry matches, the carrier
+// state, so a Reset engine is result-identical to New(f, opts) — the
+// warm-path contract the engine lease pool relies on. When the (n, m) geometry matches, the carrier
 // bank is kept verbatim (cycles and period depend only on 2·n·m and
 // the allocation) and the evaluator re-targets in place; otherwise the
 // engine is rebuilt, which can fail if the new geometry exceeds the
@@ -285,8 +286,6 @@ func (e *Engine) Reset(f *cnf.Formula) error {
 		return err
 	}
 	e.f = f
-	// Reset rewinds the evaluator's stream cursor, which under the
-	// counter contract IS the carrier time: t restarts at 0.
 	e.ev.Reset(f)
 	return nil
 }
